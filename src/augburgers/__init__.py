@@ -3,7 +3,6 @@ relaxation memory term, designed to preserve the large-time diffusive-wave
 behavior, plus the verification harness for its conservation, contraction
 and convergence properties."""
 
-from .backend import BACKEND
 from .flux import FluxKind
 from .grid import Grid, GridFunction, make_grid
 from .kernel import KernelQuadrature
@@ -13,7 +12,6 @@ from .scheme import CorrectorMode, PhysicalParams, RunRecord, SchemeConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "FluxKind",
     "Grid",
     "GridFunction",

@@ -289,13 +289,17 @@ def series_lemma_check(a: float, phi: float, n: int) -> InequalityCheck:
         raise ValueError(f"a must lie in (0, 1), got {a}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    b = cmath.exp(1j * phi)
+    # b^k - 1 = 2i sin(k phi/2) e^{ik phi/2} and 1/b - 1 = -2i sin(phi/2)
+    # e^{-i phi/2}: the sine forms keep full relative accuracy when phi is
+    # tiny, where subtracting 1 from b^k would cancel.
     s1 = 0j
     s2 = 0.0
     for k in range(1, n + 1):
         ak = a**k
-        s1 += ak * (b**k - 1.0)
+        half = 0.5 * k * phi
+        s1 += ak * 2j * math.sin(half) * cmath.exp(1j * half)
         s2 += k * ak
-    lhs = abs(s1 + s2 * (1.0 / b - 1.0))
-    rhs = abs(b - 1.0) ** 2 * a / (1.0 - a) ** 3
+    half = 0.5 * phi
+    lhs = abs(s1 - s2 * 2j * math.sin(half) * cmath.exp(-1j * half))
+    rhs = 4.0 * math.sin(half) ** 2 * a / (1.0 - a) ** 3
     return InequalityCheck(holds=lhs <= rhs, lhs=lhs, rhs=rhs)

@@ -2,8 +2,10 @@
 
 Config files are line-based ``key = value`` with ``#`` comments; command-line
 flags override file values.  Outputs are plain CSV plus a text manifest that
-records every value affecting the run (including derived quadrature factors
-and the kernel backend), so reruns with the same config are byte-identical.
+records every value affecting the run (including derived quadrature
+factors), so reruns with the same config are byte-identical.  ``initial_data``
+specs are parsed in one place, :func:`_parse_initial`, for validation and for
+every subcommand.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import analysis, backend, initial, kernel, profile, scheme
+from . import analysis, initial, kernel, profile, scheme
 from .flux import FluxKind
 from .grid import GridFunction, make_grid, mass, norm, project_initial
 from .scheme import CorrectorMode, PhysicalParams, SchemeConfig, SolverAbort
@@ -99,13 +101,18 @@ def _parse_snapshot_times(raw) -> tuple[float, ...]:
     return times
 
 
-def _validate_initial_spec(spec: str) -> str:
+def _parse_initial(spec: str):
+    """Parse an ``initial_data`` spec into ``(canonical rendering, datum)``.
+
+    The datum is a function of x for ``sines``, ``gaussian`` and ``boxpair``
+    and the path string for ``file:PATH``, whose values are bound to one grid.
+    """
     head, _, rest = spec.partition(":")
     head = head.strip().lower()
     if head == "sines":
         if rest:
             raise ConfigError("initial_data = sines takes no arguments")
-        return "sines"
+        return "sines", initial.sine_bumps()
     if head == "gaussian":
         args = [a.strip() for a in rest.split(",")]
         if len(args) != 2:
@@ -115,7 +122,7 @@ def _validate_initial_spec(spec: str) -> str:
         m, w = (_parse_float("initial_data(gaussian)", a) for a in args)
         if not w > 0.0:
             raise ConfigError(f"initial_data = {spec!r}: width must be > 0")
-        return f"gaussian:{_render(m)},{_render(w)}"
+        return f"gaussian:{_render(m)},{_render(w)}", initial.gaussian(m, w)
     if head == "boxpair":
         args = [a.strip() for a in rest.split(",")]
         if len(args) != 6:
@@ -123,12 +130,12 @@ def _validate_initial_spec(spec: str) -> str:
                 f"initial_data = {spec!r}: expected boxpair:H1,A1,B1,H2,A2,B2"
             )
         vals = [_parse_float("initial_data(boxpair)", a) for a in args]
-        initial.box_pair(*vals)  # raises on bad intervals
-        return "boxpair:" + ",".join(_render(v) for v in vals)
+        datum = initial.box_pair(*vals)  # raises on bad intervals
+        return "boxpair:" + ",".join(_render(v) for v in vals), datum
     if head == "file":
         if not rest:
             raise ConfigError("initial_data = file: needs a path, file:PATH")
-        return f"file:{rest}"
+        return f"file:{rest}", rest
     raise ConfigError(
         f"initial_data = {spec!r}: expected sines, gaussian:M,W, "
         "boxpair:H1,A1,B1,H2,A2,B2 or file:PATH"
@@ -208,7 +215,7 @@ def parse_config(text: str = "", overrides: dict | None = None) -> ExperimentCon
     if "snapshot_times" in raw:
         out["snapshot_times"] = _parse_snapshot_times(raw["snapshot_times"])
     if "initial_data" in raw:
-        out["initial_data"] = _validate_initial_spec(str(raw["initial_data"]))
+        out["initial_data"] = _parse_initial(str(raw["initial_data"]))[0]
     if "seed" in raw:
         try:
             out["seed"] = int(str(raw["seed"]), 0)
@@ -241,19 +248,10 @@ def parse_config(text: str = "", overrides: dict | None = None) -> ExperimentCon
 
 
 def _build_initial(config: ExperimentConfig, grid) -> GridFunction:
-    spec = config.initial_data
-    head, _, rest = spec.partition(":")
-    if head == "sines":
-        return project_initial(initial.sine_bumps(), grid)
-    if head == "gaussian":
-        m, w = (float(x) for x in rest.split(","))
-        return project_initial(initial.gaussian(m, w), grid)
-    if head == "boxpair":
-        args = [float(x) for x in rest.split(",")]
-        return project_initial(initial.box_pair(*args), grid)
-    if head == "file":
-        return initial.from_file(rest, grid)
-    raise ConfigError(f"unhandled initial_data spec {spec!r}")
+    _, datum = _parse_initial(config.initial_data)
+    if isinstance(datum, str):
+        return initial.from_file(datum, grid)
+    return project_initial(datum, grid)
 
 
 def _build_setup(config: ExperimentConfig, flux: str | None = None,
@@ -322,7 +320,6 @@ def _run_extras(record: scheme.RunRecord) -> dict:
         "moment1",
         "moment2",
         "stability_sum",
-        "backend",
         "dt_policy",
         "aborted",
         "boundary_warning",
@@ -414,7 +411,7 @@ def cmd_rates(config: ExperimentConfig) -> int:
             for t, value in zip(series.times, series.values):
                 rows.append((t, name, label, value))
         extras.update({f"{name}_{k}": v for k, v in _run_extras(record).items()
-                       if k in ("backend", "n_terms")})
+                       if k == "n_terms"})
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     _write_csv(
         os.path.join(config.output_dir, "rates.csv"),
@@ -422,8 +419,7 @@ def cmd_rates(config: ExperimentConfig) -> int:
         rows,
     )
     extras.update({"n_terms": quad.n_terms, "moment0": quad.moment0,
-                   "moment1": quad.moment1, "moment2": quad.moment2,
-                   "backend": backend.BACKEND})
+                   "moment1": quad.moment1, "moment2": quad.moment2})
     _write_manifest(os.path.join(config.output_dir, "manifest.txt"), config, extras)
     return 1 if aborted else 0
 
@@ -442,8 +438,7 @@ def cmd_nwave(config: ExperimentConfig) -> int:
     u0 = _build_initial(config, grid)
     os.makedirs(config.output_dir, exist_ok=True)
     extras: dict = {"n_terms": quad.n_terms, "moment0": quad.moment0,
-                    "moment1": quad.moment1, "moment2": quad.moment2,
-                    "backend": backend.BACKEND}
+                    "moment1": quad.moment1, "moment2": quad.moment2}
     diag_rows = []
     aborted = False
     for name, flux in (("eo", "eo"), ("mlf", "mlf")):
@@ -479,7 +474,8 @@ def cmd_nwave(config: ExperimentConfig) -> int:
 
 
 def cmd_selfconv(config: ExperimentConfig, dx_list: str, t_check: float) -> int:
-    if config.initial_data.startswith("file:"):
+    _, init = _parse_initial(config.initial_data)
+    if isinstance(init, str):
         raise ConfigError(
             "selfconv needs a functional initial_data (file: data is bound to "
             "one grid)"
@@ -488,14 +484,6 @@ def cmd_selfconv(config: ExperimentConfig, dx_list: str, t_check: float) -> int:
         dxs = [float(p) for p in dx_list.split(",") if p.strip()]
     except ValueError:
         raise ConfigError(f"--dx-list {dx_list!r}: expected comma-separated numbers")
-    head, _, rest = config.initial_data.partition(":")
-    if head == "sines":
-        init = initial.sine_bumps()
-    elif head == "gaussian":
-        m, w = (float(x) for x in rest.split(","))
-        init = initial.gaussian(m, w)
-    else:
-        init = initial.box_pair(*(float(x) for x in rest.split(",")))
     params = PhysicalParams(nu=config.nu, c=config.c, theta=config.theta)
     results = analysis.self_convergence(
         params,
@@ -525,7 +513,7 @@ def cmd_selfconv(config: ExperimentConfig, dx_list: str, t_check: float) -> int:
     _write_manifest(
         os.path.join(config.output_dir, "manifest.txt"),
         config,
-        {"dx_list": dx_list, "t_check": t_check, "backend": backend.BACKEND},
+        {"dx_list": dx_list, "t_check": t_check},
     )
     return 0
 
@@ -761,7 +749,9 @@ def _gen_profile_mass(rng, count):
 def _check_profile_residual(case) -> tuple[bool, str]:
     wave = profile.AsymptoticProfile(mass=case["mass"], viscosity=case["viscosity"])
     t, x = case["t"], case["x"]
-    rs = [abs(analysis.pde_residual(wave, t, x, h)) for h in (0.2, 0.1, 0.05)]
+    # The ladder must lie in the O(h^2) regime: at h = 0.2 the residual of
+    # some waves has not yet reached it.
+    rs = [abs(analysis.pde_residual(wave, t, x, h)) for h in (0.05, 0.025, 0.0125)]
     if rs[1] < 1e-13 or rs[2] < 1e-13:
         return True, "residual at roundoff floor"
     orders = [math.log2(rs[0] / rs[1]), math.log2(rs[1] / rs[2])]

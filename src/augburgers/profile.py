@@ -13,6 +13,18 @@ equals ``4 log(1 + 2 sqrt(pi)/C)``, so
     C(M) = 2 sqrt(pi) / (exp(M/4) - 1),
 
 with C < -2 sqrt(pi) for M < 0 (the profile is then strictly negative).
+Dividing numerator and denominator by ``exp(-s^2)``, s = x/(2 sqrt(2t)),
+gives the form that is evaluated: with
+``A = C + 2 sqrt(pi) = 2 sqrt(pi) / (1 - exp(-M/4))``,
+
+    u = 2 sqrt(2) t^(-1/2) / (C e^{s^2} + sqrt(pi) erfcx(-s))    for s < 0,
+    u = 2 sqrt(2) t^(-1/2) / (A e^{s^2} - sqrt(pi) erfcx(s))     for s >= 0,
+
+with erfcx the scaled complementary error function.  Both terms of each
+denominator have the sign of M, or the second is at most half the first, so
+neither cancels; ``C e^{s^2}`` and ``A e^{s^2}`` are formed from ``log|C|``
+and ``log|A|``, so nothing overflows for any finite mass.
+
 General viscosity follows from the exact rescaling
 ``w(t, x) = (a/2) u((a/2) t, x)``, which maps viscosity 2 to viscosity a and
 mass 2M/a to mass M.
@@ -28,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfcx
 
 from .grid import Grid, GridFunction
 
@@ -43,6 +55,14 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
+_LOG_TWO_SQRT_PI = math.log(2.0 * _SQRT_PI)
+
+
+def _log_abs_expm1(y: float) -> float:
+    """``log|exp(y) - 1|``, finite for every finite nonzero ``y``."""
+    if y > 0.0:
+        return y + math.log(-math.expm1(-y))
+    return math.log(-math.expm1(y))
 
 
 def c_constant(m_prime: float) -> float:
@@ -58,15 +78,18 @@ def c_constant(m_prime: float) -> float:
         )
     if not math.isfinite(m_prime):
         raise ValueError(f"mass must be finite, got {m_prime}")
-    return 2.0 * _SQRT_PI / math.expm1(m_prime / 4.0)
+    q = m_prime / 4.0
+    if q > 0.0:
+        # The same value as 2 sqrt(pi) e^{-q} / (1 - e^{-q}), finite for any q.
+        return 2.0 * _SQRT_PI * math.exp(-q) / -math.expm1(-q)
+    return 2.0 * _SQRT_PI / math.expm1(q)
 
 
 def eval_viscosity2(t: float, x, m_prime: float):
     """Viscosity-2 diffusive wave of mass ``m_prime`` at time t > 0.
 
-    The incomplete Gaussian integral is evaluated through the complementary
-    error function, ``sqrt(pi) * erfc(-x / (2 sqrt(2t)))``, accurate to
-    machine precision on both tails.
+    Evaluated in the erfcx form of the module docstring, which is finite and
+    raises no floating-point warning for any finite mass.
     """
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
@@ -74,11 +97,21 @@ def eval_viscosity2(t: float, x, m_prime: float):
     if m_prime == 0.0:
         out = np.zeros_like(x_arr)
         return float(out) if x_arr.ndim == 0 else out
-    cm = c_constant(m_prime)
+    if not math.isfinite(m_prime):
+        raise ValueError(f"mass must be finite, got {m_prime}")
+    q = m_prime / 4.0
+    log_c = _LOG_TWO_SQRT_PI - _log_abs_expm1(q)  # log|C|
+    log_a = _LOG_TWO_SQRT_PI - _log_abs_expm1(-q)  # log|A|, A = C + 2 sqrt(pi)
     s = x_arr / (2.0 * math.sqrt(2.0 * t))
-    denom = cm + _SQRT_PI * erfc(-s)
-    numer = _TWO_SQRT2 / math.sqrt(t) * np.exp(-(x_arr * x_arr) / (8.0 * t))
-    out = numer / denom
+    r = np.abs(s)
+    # Both branches are one expression in |s| whose constants each cell picks
+    # by its sign; exp(log + s^2) past the float range is inf, a wave of 0.
+    neg = s < 0.0
+    with np.errstate(over="ignore"):
+        denom = math.copysign(1.0, q) * np.exp(
+            np.where(neg, log_c, log_a) + r * r
+        ) + np.where(neg, _SQRT_PI, -_SQRT_PI) * erfcx(r)
+    out = (_TWO_SQRT2 / math.sqrt(t)) / denom
     return float(out) if x_arr.ndim == 0 else out
 
 

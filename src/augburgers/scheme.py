@@ -18,9 +18,9 @@ Forward Euler stepping is stable (monotone) when
 
     dt * ( max_j |u_j|/dx + 2 nu/dx^2 + (c/theta^2) * sum (m+1) w_m ) <= 1.
 
-The right-hand side is evaluated by the backend kernel (compiled extension
-when available); each cell's convolution runs sequentially in fixed order, so
-results are bitwise reproducible for a given backend.
+The memory sum is the paper's direct truncated sum, evaluated as one
+``np.convolve`` of the cell values with the quadrature weights; the face
+fluxes come from :mod:`augburgers.flux`.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import backend
-from .flux import FluxKind
+from .flux import FluxKind, eo_flux, mlf_flux
 from .grid import Grid, GridFunction, norm
 from .kernel import KernelQuadrature
 
@@ -176,27 +175,32 @@ def rhs(
     """
     if state.u.grid is not config.grid and state.u.grid != config.grid:
         raise ValueError("state grid does not match scheme configuration grid")
+    u = state.u.values
+    n = u.shape[0]
+    dx = config.grid.dx
     m0, m1 = config.corrector_factors()
+
+    upad = np.zeros(n + 2)
+    upad[1:-1] = u
+    left, right = upad[:-1], upad[1:]
     if config.flux is FluxKind.MODIFIED_LAX_FRIEDRICHS:
         if dt_ref is None or not dt_ref > 0.0:
             raise ValueError(
                 "the modified Lax-Friedrichs flux needs a positive dt_ref"
             )
-        flux_code, dt_arg = 1, float(dt_ref)
+        g = mlf_flux(left, right, dx, dt_ref)
     else:
-        flux_code, dt_arg = 0, 1.0
-    vals = backend.rhs_kernel(
-        np.ascontiguousarray(state.u.values),
-        config.quadrature.weights,
-        config.grid.dx,
-        params.nu,
-        params.c,
-        params.theta,
-        m0,
-        m1,
-        flux_code,
-        dt_arg,
+        g = eo_flux(left, right)
+
+    # conv_j = sum_{m=1..N} w_m u_{j-m}: the full convolution shifted by one cell.
+    conv = np.zeros(n)
+    conv[1:] = np.convolve(u, config.quadrature.weights)[: n - 1]
+
+    vals = (g[1:] - g[:-1]) / dx + (params.nu / (dx * dx)) * (
+        (upad[:-2] - 2.0 * u) + upad[2:]
     )
+    vals += (params.c / (params.theta * params.theta)) * (conv - m0 * u)
+    vals += (params.c * m1 / (params.theta * dx)) * (upad[2:] - u)
     if not np.isfinite(vals).all():
         bad = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise SolverAbort(
@@ -320,7 +324,6 @@ def _base_manifest(
         "dt_policy": "fixed" if fixed_dt is not None else "adaptive",
         "fixed_dt": fixed_dt if fixed_dt is not None else "",
         "t_end": t_end,
-        "backend": backend.BACKEND,
     }
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,6 +250,22 @@ class TestSeriesBound:
         res = series_lemma_check(0.5, math.pi, 10)
         assert res.holds
         assert res.rhs == pytest.approx(4.0 * 0.5 / 0.125, rel=1e-13)
+
+    def test_tiny_angle_does_not_cancel(self):
+        # Drawn by `augburgers check --seed 59`.  At 50 digits the lhs is
+        # 5.7194984894e-11, just below the rhs 5.7194985032e-11; forming
+        # b^k - 1 by subtraction lost the digits that decide it.
+        a, phi, n = 0.5712925694825125, -2.808608488003017e-06, 45
+        res = series_lemma_check(a, phi, n)
+        with mpmath.workdps(50):
+            b = mpmath.expj(phi)
+            s1 = mpmath.fsum(mpmath.mpf(a) ** k * (b**k - 1) for k in range(1, n + 1))
+            s2 = mpmath.fsum(k * mpmath.mpf(a) ** k for k in range(1, n + 1))
+            lhs = abs(s1 + s2 * (1 / b - 1))
+            rhs = abs(b - 1) ** 2 * a / (1 - mpmath.mpf(a)) ** 3
+        assert res.lhs == pytest.approx(float(lhs), rel=1e-12)
+        assert res.rhs == pytest.approx(float(rhs), rel=1e-12)
+        assert res.holds
 
     def test_randomized_corpus_all_hold(self):
         rng = np.random.default_rng(8)

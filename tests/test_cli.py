@@ -140,7 +140,6 @@ class TestRunCommand:
             "moment0 =",
             "moment1 =",
             "moment2 =",
-            "backend =",
             "config_hash =",
             "aborted =",
         ):

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from augburgers.analysis import pde_residual
@@ -101,6 +104,59 @@ class TestViscosity2Wave:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             eval_viscosity2(0.0, 1.0, 1.0)
+
+
+def _shock_position(t, m):
+    # The wave of mass m lives between x = 0 and its shock at s = -sign(m) sqrt|m/4|.
+    return -math.copysign(1.0, m) * math.sqrt(abs(m) / 4.0) * 2.0 * math.sqrt(2.0 * t)
+
+
+class TestExtremeMass:
+    """|m/4| far beyond the overflow threshold of exp, in both signs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_q=st.floats(math.log10(700.0), 300.0),
+        negative=st.booleans(),
+        t=st.floats(0.01, 100.0),
+    )
+    def test_finite_with_the_sign_of_the_mass(self, log_q, negative, t):
+        m = (-4.0 if negative else 4.0) * 10.0**log_q
+        shock = _shock_position(t, m)
+        xs = np.linspace(-1.5, 1.5, 301) * abs(shock)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = eval_viscosity2(t, xs, m)
+            c_constant(m)
+            AsymptoticProfile(mass=m, viscosity=2.0)
+        assert np.all(np.isfinite(vals))
+        assert np.all(math.copysign(1.0, m) * vals >= 0.0)
+        assert math.copysign(1.0, m) * eval_viscosity2(t, 0.5 * shock, m) > 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(log_q=st.floats(0.0, 4.0), negative=st.booleans())
+    # Mass +-2 at viscosity 1e-3 (m/4 = +-1000, past the overflow threshold
+    # of exp), and mass -1.06 at viscosity 0.0133, where C + sqrt(pi) erfc(-s)
+    # cancelled to a 0/0 profile.
+    @example(log_q=3.0, negative=False)
+    @example(log_q=3.0, negative=True)
+    @example(log_q=math.log10(1.06 / 0.0133), negative=True)
+    def test_mass_holds(self, log_q, negative):
+        m = (-4.0 if negative else 4.0) * 10.0**log_q
+        shock = _shock_position(1.0, m)
+        lim = abs(shock) + 40.0 * math.sqrt(8.0)
+        # Break points across the shock, which is thinner than quad can find.
+        pieces = np.sort(
+            np.concatenate([[-lim, 0.0, lim], shock + np.linspace(-4.0, 4.0, 17)])
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = math.fsum(
+                quad(lambda x: eval_viscosity2(1.0, x, m), lo, hi,
+                     limit=400, epsabs=1e-12)[0]
+                for lo, hi in zip(pieces[:-1], pieces[1:])
+            )
+        assert abs(val - m) <= 1e-9 * abs(m)
 
 
 class TestGeneralViscosity:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from augburgers.flux import FluxKind, eo_flux
+from augburgers.flux import FluxKind
 from augburgers.grid import GridFunction, make_grid, mass, norm
 from augburgers.kernel import build, choose_n
 from augburgers.scheme import (
@@ -87,42 +89,64 @@ class TestRhs:
         total = grid.dx * math.fsum(rhs(state, params, config).values.tolist())
         assert abs(total) <= 1e-12
 
-    def test_matches_literal_assembly_at_unit_parameters(self):
-        # Independent oracle: direct per-cell loop over the scheme formula
-        # with unit coefficients.
-        dx = 0.5
-        grid = make_grid(0.0, 20.0, dx)
-        n = grid.num_cells
-        quad = build(dx, 1.0, 12)
-        params = PhysicalParams(nu=1.0, c=1.0, theta=1.0)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        n_terms=st.integers(1, 60),
+        dx=st.floats(0.1, 1.0),
+        nu=st.floats(0.0, 1.0),
+        c=st.floats(0.0, 1.0),
+        theta=st.floats(0.2, 5.0),
+        flux=st.sampled_from(FluxKind),
+        corrector=st.sampled_from(CorrectorMode),
+        dt_ref=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=12, n_terms=1, dx=0.5, nu=0.3, c=0.7, theta=1.5,
+             flux=FluxKind.ENGQUIST_OSHER, corrector=CorrectorMode.CORRECTED,
+             dt_ref=0.1, seed=1)
+    @example(n=12, n_terms=30, dx=0.5, nu=0.3, c=0.7, theta=1.5,
+             flux=FluxKind.MODIFIED_LAX_FRIEDRICHS, corrector=CorrectorMode.NAIVE,
+             dt_ref=0.1, seed=2)
+    def test_matches_literal_assembly(
+        self, n, n_terms, dx, nu, c, theta, flux, corrector, dt_ref, seed
+    ):
+        # Independent oracle: a direct per-cell loop over the scheme formula,
+        # with the truncated memory sum written out term by term.
+        assume(nu + c > 0.0)
+        grid = make_grid(0.0, n * dx, dx)
+        quad = build(dx, theta, n_terms)
+        params = PhysicalParams(nu=nu, c=c, theta=theta)
         config = SchemeConfig(
-            flux=FluxKind.ENGQUIST_OSHER,
-            quadrature=quad,
-            corrector_mode=CorrectorMode.CORRECTED,
-            grid=grid,
+            flux=flux, quadrature=quad, corrector_mode=corrector, grid=grid
         )
-        rng = np.random.default_rng(5)
-        u = rng.uniform(-1.0, 1.0, n)
+        u = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
         state = SolverState(0.0, GridFunction(grid, u))
 
         def at(j):
             return u[j] if 0 <= j < n else 0.0
 
+        def g(a, b):
+            if flux is FluxKind.ENGQUIST_OSHER:
+                return 0.5 * min(a, 0.0) ** 2 + 0.5 * max(b, 0.0) ** 2
+            return 0.25 * (a * a + b * b) + dx / (4.0 * dt_ref) * (b - a)
+
         w = quad.weights
-        f0, f1 = quad.moment0, quad.moment1
+        if corrector is CorrectorMode.CORRECTED:
+            f0, f1 = quad.moment0, quad.moment1
+        else:
+            f0, f1 = 1.0, 1.0
         expected = np.empty(n)
         for j in range(n):
-            g_r = eo_flux(at(j), at(j + 1))
-            g_l = eo_flux(at(j - 1), at(j))
             lap = (at(j - 1) - 2.0 * at(j) + at(j + 1)) / dx**2
-            conv = sum(w[m - 1] * at(j - m) for m in range(1, quad.n_terms + 1))
+            conv = sum(w[m - 1] * at(j - m) for m in range(1, n_terms + 1))
             expected[j] = (
-                (g_r - g_l) / dx
-                + lap
-                + (conv - f0 * at(j))
-                + f1 * (at(j + 1) - at(j)) / dx
+                (g(at(j), at(j + 1)) - g(at(j - 1), at(j))) / dx
+                + nu * lap
+                + c / theta**2 * (conv - f0 * at(j))
+                + c / theta * f1 * (at(j + 1) - at(j)) / dx
             )
-        got = rhs(state, params, config).values
+        got = rhs(state, params, config, dt_ref=dt_ref).values
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-14)
 
     def test_mlf_needs_reference_step(self):
@@ -315,7 +339,6 @@ class TestRun:
             "safety",
             "dt_max",
             "dt_policy",
-            "backend",
         ):
             assert key in m
 

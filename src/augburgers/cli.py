@@ -406,8 +406,10 @@ def cmd_rates(config: ExperimentConfig) -> int:
         )
         aborted = aborted or record.aborted
         extras[f"{name}_aborted"] = record.aborted
+        # The wave is singular at t = 0, so only later snapshots are compared.
+        later = replace(record, snapshots=[s for s in record.snapshots if s[0] > 0.0])
         for p, label in ((1.0, "1"), (2.0, "2"), (math.inf, "inf")):
-            series = analysis.scaled_profile_error(record, wave, p)
+            series = analysis.scaled_profile_error(later, wave, p)
             for t, value in zip(series.times, series.values):
                 rows.append((t, name, label, value))
         extras.update({f"{name}_{k}": v for k, v in _run_extras(record).items()

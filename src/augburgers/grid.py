@@ -109,6 +109,15 @@ class GridFunction:
             raise ValueError(f"non-finite value {vals[bad]!r} in cell {bad}")
         self.values = vals
 
+    @classmethod
+    def from_checked(cls, grid: Grid, values: np.ndarray) -> "GridFunction":
+        """Wrap float64 values of the grid's shape that the caller has already
+        checked to be finite, without a second validation pass."""
+        out = cls.__new__(cls)
+        out.grid = grid
+        out.values = values
+        return out
+
     def copy(self) -> "GridFunction":
         return GridFunction(self.grid, self.values.copy())
 

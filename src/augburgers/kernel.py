@@ -5,7 +5,11 @@ for ``z > 0``.  On a mesh of size ``dx`` the convolution is replaced by a
 truncated sum with weights equal to the exact integral of the kernel over
 each cell,
 
-    w_m = exp(-m*dx/theta) * (exp(dx/theta) - 1),   m = 1..N.
+    w_m = exp(-(m-1)*dx/theta) * (1 - exp(-dx/theta)),   m = 1..N.
+
+Both factors are at most 1, so the weights stay finite however small theta
+is; the equal form ``exp(-m*dx/theta) * (exp(dx/theta) - 1)`` overflows once
+dx/theta exceeds about 709.
 
 Three derived factors measure how much of the kernel's zeroth, first and
 second moments the truncated sum retains:
@@ -104,7 +108,7 @@ def build(dx: float, theta: float, n_terms: int) -> KernelQuadrature:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     h = dx / theta
     m = np.arange(1, n_terms + 1, dtype=np.float64)
-    weights = np.exp(-m * h) * math.expm1(h)
+    weights = np.exp(-(m - 1.0) * h) * -math.expm1(-h)
     # The exact sum is 1 - exp(-N h) < 1; representation error of the
     # individual weights can push the accumulated value one ulp past 1.
     moment0 = min(math.fsum(weights.tolist()), 1.0)

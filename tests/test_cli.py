@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,17 @@ class TestRunCommand:
         _, rows = read_rows(out / "snapshots.csv")
         assert [float(r[2]) for r in rows] == values.tolist()
 
+    def test_small_theta_runs(self, tmp_path):
+        # dx/theta = 1000 used to overflow while building the kernel weights.
+        rc = main(
+            [
+                "run", "--theta", "1e-4", "--x-left", "-5", "--x-right", "5",
+                "--t-end", "1e-3", "--snapshot-times", "1e-3",
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert rc == 0
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         rc = main(["run", "--nu", "-3", "--out", str(tmp_path / "x")])
         assert rc == 2
@@ -194,6 +206,15 @@ class TestRatesCommand:
         assert {r[2] for r in rows} == {"1", "2", "inf"}
         assert all(float(r[3]) >= 0.0 and math.isfinite(float(r[3])) for r in rows)
         assert read(out1 / "rates.csv") == read(out2 / "rates.csv")
+
+    def test_no_warnings(self, tmp_path):
+        # The t = 0 snapshot is left out of the profile comparison, so a
+        # short run on the reference domain raises no warning at all.
+        argv = ["rates", "--t-end", "1", "--snapshot-times", "1",
+                "--out", str(tmp_path / "r")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
 
 
 class TestNwaveCommand:

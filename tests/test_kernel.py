@@ -76,6 +76,15 @@ class TestBuild:
         assert q.n_terms == 50
         assert q.weights[-1] == 0.0
 
+    def test_small_theta_stays_finite(self):
+        # dx/theta = 1000, far past where exp(dx/theta) overflows.
+        q = build(0.1, 1e-4, 1)
+        assert q.weights.tolist() == [1.0]
+        assert q.moment0 == 1.0
+        assert q.moment1 == pytest.approx(1000.0, rel=1e-15)
+        assert q.moment2 == 0.0
+        assert q.stability_sum == 2.0
+
     @given(
         st.floats(min_value=0.01, max_value=1.0),
         st.floats(min_value=0.2, max_value=3.0),

@@ -9,6 +9,7 @@ from augburgers.flux import FluxKind
 from augburgers.grid import GridFunction, make_grid, mass, norm
 from augburgers.kernel import build, choose_n
 from augburgers.scheme import (
+    _norms_report,
     CorrectorMode,
     PhysicalParams,
     SchemeConfig,
@@ -268,6 +269,75 @@ class TestStepEuler:
         assert drifts[CorrectorMode.CORRECTED] <= 1e-8
         assert drifts[CorrectorMode.NAIVE] > 1e-6
         assert drifts[CorrectorMode.NAIVE] > 1e3 * drifts[CorrectorMode.CORRECTED]
+
+
+def fsum_report(u, dx):
+    """Slow oracle: exactly rounded mass, L1 and L2 and the exact max."""
+    av = [abs(v) for v in u.tolist()]
+    return (
+        dx * math.fsum(u.tolist()),
+        dx * math.fsum(av),
+        math.sqrt(dx * math.fsum(a * a for a in av)),
+        max(av, default=0.0),
+    )
+
+
+class TestStepReports:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_bulk=st.integers(0, 300),
+        n_tail=st.integers(1, 100),
+        amp=st.floats(1e-3, 1e3),
+        dx=st.floats(0.01, 1.0),
+        zero=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_fsum_oracle(self, n_bulk, n_tail, amp, dx, zero, seed):
+        # Mixed-sign bulk followed by a tail that decays from amp through the
+        # subnormals to zero, the shape of a decayed solution.  The bulk and
+        # the head of the tail keep the squares in the normal range, where
+        # both sums round each square the same way.
+        rng = np.random.default_rng(seed)
+        bulk = amp * rng.uniform(-1.0, 1.0, n_bulk)
+        signs = rng.choice([-1.0, 1.0], n_tail)
+        tail = signs * amp * 10.0 ** -np.linspace(0.0, 330.0, n_tail)
+        u = np.concatenate([bulk, tail])
+        if zero:
+            u = np.zeros_like(u)
+        assume(u.size >= 2)
+        grid = make_grid(0.0, u.size * dx, dx)
+        report = _norms_report(1.0, 0.1, GridFunction(grid, u))
+        mass_x, l1_x, l2_x, linf_x = fsum_report(u, grid.dx)
+        # A signed sum is only as accurate as its absolute sum allows.
+        assert abs(report.mass_after - mass_x) <= 1e-14 * l1_x
+        assert report.l1 == pytest.approx(l1_x, rel=1e-14, abs=0.0)
+        assert report.l2 == pytest.approx(l2_x, rel=1e-14, abs=0.0)
+        assert report.linf == linf_x
+
+    def test_stepped_reports_match_fsum_oracle(self):
+        grid, params, config = make_setup(dx=0.1, span=20.0, tail_tol=1e-6)
+        u0 = interior_state(grid, np.random.default_rng(17), 5).u
+        record = run(u0, params, config, t_end=5.0, snapshot_times=[5.0])
+        t_end, u_end = record.snapshots[-1]
+        last = record.step_reports[-1]
+        assert last.t == t_end
+        mass_x, l1_x, l2_x, linf_x = fsum_report(u_end.values, grid.dx)
+        assert abs(last.mass_after - mass_x) <= 1e-14 * l1_x
+        assert last.l1 == pytest.approx(l1_x, rel=1e-14, abs=0.0)
+        assert last.l2 == pytest.approx(l2_x, rel=1e-14, abs=0.0)
+        assert last.linf == linf_x
+
+    # The memory term carries a tiny tail to the edges of this short domain.
+    @pytest.mark.filterwarnings("ignore:solution reached the domain boundary")
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_report_every_keeps_every_kth_report(self, k):
+        grid, params, config = make_setup()
+        u0 = interior_state(grid, np.random.default_rng(16), 60).u
+        kwargs = dict(t_end=2.0, snapshot_times=[0.37, 1.0], dt_max=0.05)
+        every = run(u0, params, config, **kwargs).step_reports
+        kept = run(u0, params, config, report_every=k, **kwargs).step_reports
+        assert len(every) > 3 * k
+        assert kept == every[k - 1 :: k]
 
 
 class TestRun:

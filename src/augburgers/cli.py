@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -221,6 +222,8 @@ def parse_config(text: str = "", overrides: dict | None = None) -> ExperimentCon
             out["seed"] = int(str(raw["seed"]), 0)
         except ValueError:
             raise ConfigError(f"seed = {raw['seed']!r}: expected an integer") from None
+        if out["seed"] < 0:
+            raise ConfigError(f"seed = {raw['seed']!r}: must be >= 0")
     if "output_dir" in raw:
         out["output_dir"] = str(raw["output_dir"])
 
@@ -254,16 +257,15 @@ def _build_initial(config: ExperimentConfig, grid) -> GridFunction:
     return project_initial(datum, grid)
 
 
-def _build_setup(config: ExperimentConfig, flux: str | None = None,
-                 corrector: str | None = None):
+def _build_setup(config: ExperimentConfig):
     grid = make_grid(config.x_left, config.x_right, config.dx)
     n_terms = kernel.choose_n(config.dx, config.theta, config.tail_tol)
     quad = kernel.build(config.dx, config.theta, n_terms)
     params = PhysicalParams(nu=config.nu, c=config.c, theta=config.theta)
     scheme_config = SchemeConfig(
-        flux=FluxKind((flux or config.flux)),
+        flux=FluxKind(config.flux),
         quadrature=quad,
-        corrector_mode=CorrectorMode((corrector or config.corrector_mode)),
+        corrector_mode=CorrectorMode(config.corrector_mode),
         grid=grid,
     )
     return grid, quad, params, scheme_config
@@ -320,7 +322,6 @@ def _run_extras(record: scheme.RunRecord) -> dict:
         "moment1",
         "moment2",
         "stability_sum",
-        "dt_policy",
         "aborted",
         "boundary_warning",
     )
@@ -379,7 +380,7 @@ def _rates_time_grid(t_end: float) -> list[float]:
 
 
 def cmd_rates(config: ExperimentConfig) -> int:
-    grid, quad, params, _ = _build_setup(config)
+    grid, quad, params, base = _build_setup(config)
     u0 = _build_initial(config, grid)
     times = _rates_time_grid(config.t_end)
     total_mass = mass(u0)
@@ -393,11 +394,10 @@ def cmd_rates(config: ExperimentConfig) -> int:
     extras: dict = {"profile_mass": total_mass, "profile_viscosity": wave.viscosity}
     aborted = False
     for name, flux, corrector in _RATE_VARIANTS:
-        _, _, _, scheme_config = _build_setup(config, flux=flux, corrector=corrector)
         record = scheme.run(
             u0,
             params,
-            scheme_config,
+            replace(base, flux=FluxKind(flux), corrector_mode=CorrectorMode(corrector)),
             t_end=config.t_end,
             snapshot_times=times,
             safety=config.safety,
@@ -436,7 +436,7 @@ def cmd_nwave(config: ExperimentConfig) -> int:
     config = replace(
         config, nu=_NWAVE_NU, c=_NWAVE_C, t_end=_NWAVE_T_END, snapshot_times=()
     )
-    grid, quad, params, _ = _build_setup(config)
+    grid, quad, params, base = _build_setup(config)
     u0 = _build_initial(config, grid)
     os.makedirs(config.output_dir, exist_ok=True)
     extras: dict = {"n_terms": quad.n_terms, "moment0": quad.moment0,
@@ -444,11 +444,10 @@ def cmd_nwave(config: ExperimentConfig) -> int:
     diag_rows = []
     aborted = False
     for name, flux in (("eo", "eo"), ("mlf", "mlf")):
-        _, _, _, scheme_config = _build_setup(config, flux=flux)
         record = scheme.run(
             u0,
             params,
-            scheme_config,
+            replace(base, flux=FluxKind(flux)),
             t_end=config.t_end,
             safety=config.safety,
             dt_max=config.dt_max,
@@ -612,13 +611,11 @@ def _gen_kernel_closed_forms(rng, count):
 def _check_mass_conservation(case) -> tuple[bool, str]:
     rng = np.random.default_rng(case["case_seed"])
     params, config, state0 = _setup_for_case(rng, tail_tol=1e-10, extra_margin=30)
-    st = scheme.SolverState(0.0, state0)
-    m0 = mass(st.u)
+    m0 = mass(state0)
+    dx = config.grid.dx
     worst = 0.0
-    for _ in range(25):
-        dt = scheme.stable_dt(st, params, config, safety=0.9)
-        st, report = scheme.step_euler(st, params, config, dt)
-        worst = max(worst, abs(report.mass_after - m0))
+    for _, (st,) in itertools.islice(scheme.march([state0], params, config), 25):
+        worst = max(worst, abs(dx * float(np.sum(st.u.values)) - m0))
     ok = worst <= 1e-12 * max(1.0, abs(m0))
     return ok, f"max drift {worst:.3e}"
 
@@ -627,17 +624,10 @@ def _check_l1_contraction(case) -> tuple[bool, str]:
     rng = np.random.default_rng(case["case_seed"])
     params, config, u = _setup_for_case(rng)
     v = GridFunction(u.grid, u.values * float(rng.uniform(0.2, 0.9)))
-    su, sv = scheme.SolverState(0.0, u), scheme.SolverState(0.0, v)
-    dist = norm(GridFunction(u.grid, su.u.values - sv.u.values), 1)
+    dist = norm(GridFunction(u.grid, u.values - v.values), 1)
     ok = True
     worst = 0.0
-    for _ in range(25):
-        dt = min(
-            scheme.stable_dt(su, params, config, safety=0.9),
-            scheme.stable_dt(sv, params, config, safety=0.9),
-        )
-        su, _ = scheme.step_euler(su, params, config, dt)
-        sv, _ = scheme.step_euler(sv, params, config, dt)
+    for _, (su, sv) in itertools.islice(scheme.march([u, v], params, config), 25):
         new = norm(GridFunction(u.grid, su.u.values - sv.u.values), 1)
         if new > dist + 1e-12:
             ok = False
@@ -649,13 +639,16 @@ def _check_l1_contraction(case) -> tuple[bool, str]:
 def _check_lp_monotone(case) -> tuple[bool, str]:
     rng = np.random.default_rng(case["case_seed"])
     params, config, state0 = _setup_for_case(rng)
-    st = scheme.SolverState(0.0, state0)
-    prev = (norm(st.u, 1), norm(st.u, 2), norm(st.u, math.inf))
+    dx = config.grid.dx
+    prev = (norm(state0, 1), norm(state0, 2), norm(state0, math.inf))
     ok = True
-    for _ in range(25):
-        dt = scheme.stable_dt(st, params, config, safety=0.9)
-        st, report = scheme.step_euler(st, params, config, dt)
-        cur = (report.l1, report.l2, report.linf)
+    for _, (st,) in itertools.islice(scheme.march([state0], params, config), 25):
+        av = np.abs(st.u.values)
+        cur = (
+            dx * float(np.sum(av)),
+            math.sqrt(dx * float(np.sum(av * av))),
+            float(av.max(initial=0.0)),
+        )
         if any(c > p + 1e-12 for c, p in zip(cur, prev)):
             ok = False
         prev = cur
@@ -669,15 +662,8 @@ def _check_order_preservation(case) -> tuple[bool, str]:
     k = u.grid.num_cells // 2
     bump[k - 20 : k + 20] = 0.2 * rng.random(40)
     v = GridFunction(u.grid, u.values + bump)
-    su, sv = scheme.SolverState(0.0, u), scheme.SolverState(0.0, v)
     worst = 0.0
-    for _ in range(25):
-        dt = min(
-            scheme.stable_dt(su, params, config, safety=0.9),
-            scheme.stable_dt(sv, params, config, safety=0.9),
-        )
-        su, _ = scheme.step_euler(su, params, config, dt)
-        sv, _ = scheme.step_euler(sv, params, config, dt)
+    for _, (su, sv) in itertools.islice(scheme.march([u, v], params, config), 25):
         worst = max(worst, float((su.u.values - sv.u.values).max(initial=0.0)))
     ok = worst <= 1e-12
     return ok, f"max ordering violation {worst:.3e}"
@@ -785,18 +771,41 @@ _SUITES = {
 }
 
 
+def _load_replay(path: str) -> tuple[str, dict]:
+    """Read a ``{"suite": ..., "case": {...}}`` file whose case has every key
+    that the suite's generator emits, with a value of the same type (an
+    integer may stand for a float)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        payload = {}
+    suite, case = payload.get("suite"), payload.get("case")
+    if not (isinstance(suite, str) and suite in _SUITES and isinstance(case, dict)):
+        raise ConfigError(
+            f"replay file {path!r}: expected an object with a 'suite' among "
+            + ", ".join(_SUITES) + " and a 'case' object"
+        )
+    for key, like in next(_SUITES[suite][0](np.random.default_rng(0), 1)).items():
+        val = case.get(key)
+        kind = (float, int) if isinstance(like, float) else int
+        if isinstance(val, bool) or not isinstance(val, kind):
+            raise ConfigError(
+                f"replay file {path!r}: case key {key!r} = {val!r} "
+                f"is not of type {type(like).__name__}"
+            )
+    return suite, case
+
+
 def cmd_check(config: ExperimentConfig, replay: str | None, cases: int | None) -> int:
+    if cases is not None and cases < 1:
+        raise ConfigError(f"--cases {cases}: must be >= 1")
     os.makedirs(config.output_dir, exist_ok=True)
     if replay is not None:
-        with open(replay, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        suite = payload["suite"]
-        if suite not in _SUITES:
-            raise ConfigError(f"replay file names unknown suite {suite!r}")
-        ok, detail = _SUITES[suite][1](payload["case"])
+        suite, case = _load_replay(replay)
+        ok, detail = _SUITES[suite][1](case)
         status = "pass" if ok else "FAIL"
         print(f"replay {suite}: {status} ({detail})")
-        print(f"case: {json.dumps(payload['case'], sort_keys=True)}")
+        print(f"case: {json.dumps(case, sort_keys=True)}")
         return 0 if ok else 1
 
     rng = np.random.default_rng(config.seed)

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,8 +50,8 @@ __all__ = [
     "rhs",
     "stable_dt",
     "step_euler",
+    "march",
     "run",
-    "run_lockstep",
     "rescale",
 ]
 
@@ -276,7 +276,7 @@ def step_euler(
     params: PhysicalParams,
     config: SchemeConfig,
     dt: float,
-) -> tuple[SolverState, StepReport]:
+) -> SolverState:
     """One forward-Euler step ``u <- u + dt * rhs(u)``.
 
     A step beyond the stability bound is rejected outright, never clipped.
@@ -296,9 +296,44 @@ def step_euler(
         raise SolverAbort(
             f"non-finite value in cell {bad} after step at t = {state.t!r}"
         )
-    new_u = GridFunction.from_checked(config.grid, new_vals)
-    new_t = state.t + dt
-    return SolverState(new_t, new_u), _norms_report(new_t, dt, new_u)
+    return SolverState(state.t + dt, GridFunction.from_checked(config.grid, new_vals))
+
+
+def march(
+    initials: Sequence[GridFunction],
+    params: PhysicalParams,
+    config: SchemeConfig,
+    targets: Iterable[float] = (math.inf,),
+    safety: float = 0.9,
+    dt_max: float = DEFAULT_DT_MAX,
+) -> Iterator[tuple[float, list[SolverState]]]:
+    """Step states from t = 0 on one shared dt sequence, yielding ``(dt, states)``.
+
+    The step is the smallest ``stable_dt`` across the states (at most
+    ``dt_max``), cut to the gap to the next of the increasing ``targets``,
+    which are landed on exactly; the default target is never reached, so the
+    caller stops.  The comparison properties (L1 contraction, order
+    preservation) need this one time grid.
+    """
+    if not initials:
+        raise ValueError("need at least one initial state")
+    states = [SolverState(0.0, u) for u in initials]
+    t = 0.0
+    for target in targets:
+        while t < target:
+            gap = target - t
+            dt = min(
+                min(stable_dt(s, params, config, safety, dt_max) for s in states),
+                gap,
+            )
+            lands = dt >= gap * (1.0 - 1e-14)
+            if lands:
+                dt = gap
+            states = [step_euler(s, params, config, dt) for s in states]
+            if lands:
+                states = [SolverState(target, s.u) for s in states]
+            t = states[0].t
+            yield dt, states
 
 
 def _base_manifest(
@@ -306,7 +341,6 @@ def _base_manifest(
     config: SchemeConfig,
     safety: float,
     dt_max: float,
-    fixed_dt: float | None,
     t_end: float,
 ) -> dict:
     quad = config.quadrature
@@ -327,8 +361,6 @@ def _base_manifest(
         "stability_sum": quad.stability_sum,
         "safety": safety,
         "dt_max": dt_max,
-        "dt_policy": "fixed" if fixed_dt is not None else "adaptive",
-        "fixed_dt": fixed_dt if fixed_dt is not None else "",
         "t_end": t_end,
     }
 
@@ -350,16 +382,15 @@ def run(
     snapshot_times: Sequence[float] = (),
     safety: float = 0.9,
     dt_max: float = DEFAULT_DT_MAX,
-    fixed_dt: float | None = None,
     report_every: int = 1,
 ) -> RunRecord:
     """Advance from ``initial`` to ``t_end``, landing exactly on snapshot times.
 
-    The step is ``min(stable_dt, dt_max, gap to the next snapshot)``; with
-    ``fixed_dt`` the step is constant and still validated against the
-    stability bound.  Snapshots store copies of the state at exactly the
-    requested times.  If the state leaves the finite range the run aborts,
-    keeping the last good snapshot and flagging the record.
+    The steps are those of :func:`march` with the snapshot times as targets.
+    Snapshots store copies of the state at exactly the requested times, and
+    every ``report_every``-th step gets a norm report.  If the state leaves
+    the finite range the run aborts, keeping the last good snapshot and
+    flagging the record.
     """
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
@@ -376,81 +407,37 @@ def run(
 
     record = RunRecord(
         snapshots=[(0.0, initial.copy())],
-        manifest=_base_manifest(params, config, safety, dt_max, fixed_dt, t_end),
+        manifest=_base_manifest(params, config, safety, dt_max, t_end),
         step_reports=[],
     )
     record.manifest["boundary_warning"] = False
     record.manifest["aborted"] = False
     u0_linf = norm(initial, math.inf)
 
-    state = SolverState(0.0, initial.copy())
-    step_count = 0
-    for target in snaps:
-        while state.t < target:
-            gap = target - state.t
-            if fixed_dt is not None:
-                dt = min(fixed_dt, gap)
-            else:
-                dt = min(stable_dt(state, params, config, safety, dt_max), gap)
-            lands = dt >= gap * (1.0 - 1e-14)
-            if lands:
-                dt = gap
-            try:
-                state, report = step_euler(state, params, config, dt)
-            except SolverAbort:
-                record.aborted = True
-                record.manifest["aborted"] = True
-                record.snapshots.append((state.t, state.u.copy()))
-                return record
-            if lands:
-                state = SolverState(target, state.u)
-                report = replace(report, t=target)
-            step_count += 1
-            if step_count % report_every == 0:
-                record.step_reports.append(report)
-        record.snapshots.append((target, state.u.copy()))
-        if u0_linf > 0.0 and not record.manifest["boundary_warning"]:
-            if _boundary_contact(state.u, u0_linf):
-                record.manifest["boundary_warning"] = True
-                warnings.warn(
-                    f"solution reached the domain boundary by t = {target!r}; "
-                    "enlarge the domain for trustworthy long-time results",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+    state = SolverState(0.0, initial)
+    k = 0  # index of the next snapshot time
+    steps = march([initial], params, config, snaps, safety, dt_max)
+    try:
+        for count, (dt, (state,)) in enumerate(steps, 1):
+            if count % report_every == 0:
+                record.step_reports.append(_norms_report(state.t, dt, state.u))
+            while k < len(snaps) and state.t >= snaps[k]:
+                record.snapshots.append((snaps[k], state.u.copy()))
+                if (u0_linf > 0.0 and not record.manifest["boundary_warning"]
+                        and _boundary_contact(state.u, u0_linf)):
+                    record.manifest["boundary_warning"] = True
+                    warnings.warn(
+                        f"solution reached the domain boundary by t = {snaps[k]!r}; "
+                        "enlarge the domain for trustworthy long-time results",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                k += 1
+    except SolverAbort:
+        record.aborted = True
+        record.manifest["aborted"] = True
+        record.snapshots.append((state.t, state.u.copy()))
     return record
-
-
-def run_lockstep(
-    initials: Sequence[GridFunction],
-    params: PhysicalParams,
-    config: SchemeConfig,
-    t_end: float,
-    safety: float = 0.9,
-    dt_max: float = DEFAULT_DT_MAX,
-    observer: Callable[[float, list[SolverState]], None] | None = None,
-) -> list[SolverState]:
-    """Advance several states with one shared dt sequence.
-
-    Each step uses the most restrictive stability bound across the states, so
-    comparison properties that require identical time grids (contraction,
-    order preservation) are meaningful.  ``observer`` is called after every
-    step with the common time and the list of states.
-    """
-    if not initials:
-        raise ValueError("need at least one initial state")
-    states = [SolverState(0.0, u.copy()) for u in initials]
-    t = 0.0
-    while t < t_end:
-        dt = min(
-            min(stable_dt(s, params, config, safety, dt_max) for s in states),
-            t_end - t,
-        )
-        states = [step_euler(s, params, config, dt)[0] for s in states]
-        t = states[0].t
-        if observer is not None:
-            observer(t, states)
-    return states
 
 
 def rescale(w: GridFunction, mu: float) -> GridFunction:

@@ -174,17 +174,11 @@ def test_criterion_03_l1_contraction(initial_datum):
     distances = [
         norm(GridFunction(initial_datum.grid, initial_datum.values - half.values), 1)
     ]
-
-    def observe(t, states):
-        diff = GridFunction(
-            initial_datum.grid, states[0].u.values - states[1].u.values
-        )
+    for _, (su, sv) in scheme.march(
+        [initial_datum, half], params, config, [200.0], safety=SAFETY
+    ):
+        diff = GridFunction(initial_datum.grid, su.u.values - sv.u.values)
         distances.append(norm(diff, 1))
-
-    scheme.run_lockstep(
-        [initial_datum, half], params, config, t_end=200.0, safety=SAFETY,
-        observer=observe,
-    )
     viol = max(b - a for a, b in zip(distances, distances[1:]))
     ok = viol <= 1e-12
     report(
@@ -437,8 +431,8 @@ def test_criterion_10_order_preservation():
         bump[20:-20] = 0.1 * rng.random(n - 40)
         lower = GridFunction(grid, base)
         upper = GridFunction(grid, base + bump)
-        final = scheme.run_lockstep(
-            [lower, upper], params, config, t_end=1.0, safety=SAFETY
+        *_, (_, final) = scheme.march(
+            [lower, upper], params, config, [1.0], safety=SAFETY
         )
         worst = max(worst, float((final[0].u.values - final[1].u.values).max()))
     ok = worst <= 1e-12

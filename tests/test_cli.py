@@ -351,6 +351,42 @@ class TestCheckCommand:
         assert rc == 0
         assert "replay series_bound: pass" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--cases", "0"], ["--cases", "-3"], ["--seed", "-1"]],
+        ids=["cases-0", "cases-negative", "seed-negative"],
+    )
+    def test_rejects_nonsense_counts_and_seeds(self, tmp_path, capsys, argv):
+        rc = main(["check", "--out", str(tmp_path / "chk"), *argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "config error" in captured.err
+        assert captured.out == ""
+
+    def test_negative_seed_rejected_by_parser(self):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config("seed = -1")
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({}, "suite"),
+            ([{"suite": "l1_contraction"}], "object"),
+            ({"suite": "l1_contraction", "case": {}}, "case_seed"),
+            ({"suite": "l1_contraction", "case": [1]}, "case"),
+            ({"suite": "series_bound", "case": {"a": "x", "phi": 1.0, "n": 3}}, "'a'"),
+            ({"suite": "series_bound", "case": {"a": 0.5, "phi": 1.0, "n": 3.0}}, "'n'"),
+        ],
+        ids=["empty", "list", "missing-key", "case-list", "str-value", "float-int"],
+    )
+    def test_malformed_replay_is_config_error(self, tmp_path, capsys, payload, key):
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps(payload))
+        rc = main(["check", "--replay", str(path), "--out", str(tmp_path / "chk")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err and key in err
+
     def test_failure_serializes_replay_case(self, tmp_path, capsys, monkeypatch):
         from augburgers import cli as cli_mod
 

@@ -289,6 +289,21 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _write_float_csv(path: str, header: list[str], blocks) -> None:
+    """Write all-float rows as :func:`_write_csv` does, byte for byte.
+
+    Each block is a 2-D array of rows and is formatted by one ``%``
+    template: ``"%.17g"`` renders a float as ``format(x, ".17g")`` does, and
+    the lines end in the CRLF terminator of ``csv.writer``.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for block in blocks:
+            rows, cols = block.shape
+            line = ",".join(["%.17g"] * cols) + "\r\n"
+            fh.write(line * rows % tuple(block.ravel().tolist()))
+
+
 def _config_hash(config: ExperimentConfig) -> str:
     # output_dir is where results land, not what they are; keep it out of
     # the content identity so runs agree byte-for-byte across destinations.
@@ -308,11 +323,10 @@ def _write_manifest(path: str, config: ExperimentConfig, extra: dict) -> None:
             fh.write(f"{k} = {entries[k]}\n")
 
 
-def _snapshot_rows(record: scheme.RunRecord):
-    for t, u in record.snapshots:
-        centers = u.grid.cell_centers
-        for x, v in zip(centers, u.values):
-            yield (t, x, v)
+def _snapshot_block(t: float, u: GridFunction) -> np.ndarray:
+    """Rows ``(t, x, u)`` of one snapshot, one per cell."""
+    centers = u.grid.cell_centers
+    return np.column_stack((np.full(centers.size, t), centers, u.values))
 
 
 def _run_extras(record: scheme.RunRecord) -> dict:
@@ -345,15 +359,16 @@ def cmd_run(config: ExperimentConfig) -> int:
         safety=config.safety,
         dt_max=config.dt_max,
     )
-    _write_csv(
+    _write_float_csv(
         os.path.join(config.output_dir, "snapshots.csv"),
         ["t", "x", "u"],
-        _snapshot_rows(record),
+        (_snapshot_block(t, u) for t, u in record.snapshots),
     )
-    _write_csv(
+    norm_rows = [(r.t, r.l1, r.l2, r.linf, r.mass_after) for r in record.step_reports]
+    _write_float_csv(
         os.path.join(config.output_dir, "norms.csv"),
         ["t", "l1", "l2", "linf", "mass"],
-        ((r.t, r.l1, r.l2, r.linf, r.mass_after) for r in record.step_reports),
+        [np.array(norm_rows, dtype=np.float64).reshape(-1, 5)],
     )
     _write_manifest(
         os.path.join(config.output_dir, "manifest.txt"), config, _run_extras(record)
@@ -455,10 +470,10 @@ def cmd_nwave(config: ExperimentConfig) -> int:
         )
         aborted = aborted or record.aborted
         t_final, u_final = record.snapshots[-1]
-        _write_csv(
+        _write_float_csv(
             os.path.join(config.output_dir, f"snapshots_{name}.csv"),
             ["t", "x", "u"],
-            ((t_final, x, v) for x, v in zip(grid.cell_centers, u_final.values)),
+            [_snapshot_block(t_final, u_final)],
         )
         d = analysis.n_wave_diagnostic(u_final)
         diag_rows.append(
@@ -529,13 +544,11 @@ def cmd_profile(config: ExperimentConfig, continuum: bool) -> int:
     wave = profile.AsymptoticProfile(mass=total_mass, viscosity=a)
     times = config.snapshot_times or (config.t_end,)
     os.makedirs(config.output_dir, exist_ok=True)
-    rows = []
-    for t in times:
-        sample = profile.sample_on_grid(wave, grid, t)
-        rows.extend(
-            (t, x, v) for x, v in zip(grid.cell_centers, sample.values)
-        )
-    _write_csv(os.path.join(config.output_dir, "profile.csv"), ["t", "x", "u"], rows)
+    _write_float_csv(
+        os.path.join(config.output_dir, "profile.csv"),
+        ["t", "x", "u"],
+        [_snapshot_block(t, profile.sample_on_grid(wave, grid, t)) for t in times],
+    )
     _write_manifest(
         os.path.join(config.output_dir, "manifest.txt"),
         config,
@@ -770,11 +783,32 @@ _SUITES = {
     "profile_residual": (_gen_profile_residual, _check_profile_residual, 10),
 }
 
+# Closed range of each case value that ``check --replay`` accepts: the range
+# the suite's generator draws from (floats uniform on [lo, hi), integers on
+# [lo, hi]), so a replayed case allocates and costs what a generated one does.
+_SEED_RANGE = {"case_seed": (0, 2**63 - 2)}
+_CASE_RANGES = {
+    "kernel_closed_forms": {"dx": (1e-3, 1.0), "theta": (0.1, 5.0), "n": (1, 399)},
+    "mass_conservation": _SEED_RANGE,
+    "l1_contraction": _SEED_RANGE,
+    "lp_monotone": _SEED_RANGE,
+    "order_preservation": _SEED_RANGE,
+    "gns_inequality": {**_SEED_RANGE, "p": (2.0, 4.0)},
+    "series_bound": {"a": (0.01, 0.99), "phi": (-math.pi, math.pi), "n": (1, 100)},
+    "profile_mass": {"mass": (-2.0, 2.0), "viscosity": (0.01, 3.0), "t": (0.5, 10.0)},
+    "profile_residual": {
+        "mass": (-2.0, 2.0),
+        "viscosity": (0.5, 2.0),
+        "t": (1.0, 4.0),
+        "x": (-2.0, 2.0),
+    },
+}
+
 
 def _load_replay(path: str) -> tuple[str, dict]:
     """Read a ``{"suite": ..., "case": {...}}`` file whose case has every key
     that the suite's generator emits, with a value of the same type (an
-    integer may stand for a float)."""
+    integer may stand for a float) inside the range of ``_CASE_RANGES``."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -785,6 +819,7 @@ def _load_replay(path: str) -> tuple[str, dict]:
             f"replay file {path!r}: expected an object with a 'suite' among "
             + ", ".join(_SUITES) + " and a 'case' object"
         )
+    ranges = _CASE_RANGES.get(suite, {})
     for key, like in next(_SUITES[suite][0](np.random.default_rng(0), 1)).items():
         val = case.get(key)
         kind = (float, int) if isinstance(like, float) else int
@@ -792,6 +827,11 @@ def _load_replay(path: str) -> tuple[str, dict]:
             raise ConfigError(
                 f"replay file {path!r}: case key {key!r} = {val!r} "
                 f"is not of type {type(like).__name__}"
+            )
+        if key in ranges and not ranges[key][0] <= val <= ranges[key][1]:
+            raise ConfigError(
+                f"replay file {path!r}: case key {key!r} = {val!r} lies outside "
+                f"[{ranges[key][0]!r}, {ranges[key][1]!r}], the range its suite draws from"
             )
     return suite, case
 

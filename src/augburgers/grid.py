@@ -2,9 +2,13 @@
 
 Grid functions represent compactly supported data on the real line, truncated
 to a finite window of uniform cells; everything outside the window is taken to
-be zero.  All reductions (norms, mass) run in fixed cell order with an
-error-free-transform accumulator (``math.fsum``) so results are deterministic
-and exactly rounded.
+be zero.  The reductions (norms, mass) return exactly ``math.fsum`` of the
+cell terms, the exactly rounded sum, so results are deterministic.  fsum's
+cost grows with the number of binades its input spans, and a decaying
+solution (or error) reaches down to subnormals; so fsum runs on the head of
+each sum, the terms within a factor 2^-64 / n of the largest, and the
+neglected tail is certified not to change the rounded result (see
+:func:`_exact_sum`).
 """
 
 from __future__ import annotations
@@ -30,6 +34,14 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+
+# Head/tail split of the exact sums: with m = max|x_j| over n terms, the
+# terms below m 2^-64 / n (the tail) add up to less than m 2^-63.
+_TAIL_SCALE = 2.0**-64
+_TAIL_BOUND = 2.0**-63
+# Outside [2^-900, 2^900] for m, the scaled thresholds could lose bits to
+# underflow or the shifted head sums overflow, so the full sum runs there.
+_CERTIFIED_RANGE = (2.0**-900, 2.0**900)
 
 # Subintervals of the composite Simpson rule used per cell (and per smooth
 # piece within a cell).  Must be even.
@@ -242,28 +254,62 @@ def _validate_p(p: float) -> float:
     return p
 
 
+def _exact_sum(x: np.ndarray, ax: np.ndarray) -> float:
+    """``math.fsum(x)``, from a sum over the head of ``x`` where it is certified.
+
+    ``ax`` is ``|x|``.  With m = max ax over n terms, the tail terms
+    (ax < m 2^-64 / n) add less than delta = m 2^-63 in total, so the exact
+    sum lies within delta of the head's.  Rounding to nearest is monotone:
+    when the head's exact sums shifted by -delta and by +delta round to the
+    same float, that float is the exactly rounded total.  Otherwise (the
+    total lies too near a rounding boundary) the full fsum runs.  A tail of
+    exact zeros needs no certificate, and no tail at all means one fsum.
+    """
+    n = x.size
+    # ufunc.reduce skips the Python wrapper of ndarray.max: on sums of a few
+    # hundred terms the call overhead is most of the helper's cost.
+    m = float(np.maximum.reduce(ax))
+    lo, hi = _CERTIFIED_RANGE
+    if not lo <= m <= hi:
+        return math.fsum(x.tolist())
+    head = x[ax >= m * _TAIL_SCALE / n].tolist()
+    if len(head) == n or len(head) == np.count_nonzero(x):
+        return math.fsum(head)
+    delta = m * _TAIL_BOUND
+    below = math.fsum(head + [-delta])
+    if below == math.fsum(head + [delta]):
+        return below
+    return math.fsum(x.tolist())
+
+
 def norm(w: GridFunction, p: float) -> float:
     """Discrete L^p norm: ``(dx * sum |u_j|^p)^(1/p)``, max for p = inf.
 
-    The sum runs in fixed cell order through an exactly rounded accumulator,
-    so the result does not depend on how the reduction is scheduled.
+    The sum is exactly ``math.fsum`` of the terms ``|u_j|^p``, the exactly
+    rounded sum, computed on its certified head (:func:`_exact_sum`); the
+    result does not depend on how the reduction is scheduled.
     """
     p = _validate_p(p)
     av = np.abs(w.values)
     if math.isinf(p):
         return float(av.max(initial=0.0))
     if p == 1.0:
-        s = math.fsum(av.tolist())
+        terms = av
     elif p == 2.0:
-        s = math.fsum((av * av).tolist())
+        terms = av * av
     else:
-        s = math.fsum((av**p).tolist())
-    return (w.grid.dx * s) ** (1.0 / p)
+        terms = av**p
+    return (w.grid.dx * _exact_sum(terms, terms)) ** (1.0 / p)
 
 
 def mass(w: GridFunction) -> float:
-    """Signed total mass ``dx * sum u_j`` (exactly rounded accumulation)."""
-    return w.grid.dx * math.fsum(w.values.tolist())
+    """Signed total mass ``dx * sum u_j``.
+
+    The sum is exactly ``math.fsum`` of the cell values, computed on its
+    certified head (:func:`_exact_sum`).
+    """
+    vals = w.values
+    return w.grid.dx * _exact_sum(vals, np.abs(vals))
 
 
 def zero_pad(w: GridFunction, left: int, right: int) -> GridFunction:

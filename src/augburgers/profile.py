@@ -36,11 +36,11 @@ quadrature); ``nu + c`` is the continuum-limit value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx
 
 from .grid import Grid, GridFunction
 
@@ -56,6 +56,16 @@ __all__ = [
 _SQRT_PI = math.sqrt(math.pi)
 _TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 _LOG_TWO_SQRT_PI = math.log(2.0 * _SQRT_PI)
+
+
+@functools.cache
+def _erfcx():
+    """``scipy.special.erfcx``, imported on the first evaluation of a wave:
+    importing SciPy is most of the package's import time, and only the wave
+    needs it."""
+    from scipy.special import erfcx
+
+    return erfcx
 
 
 def _log_abs_expm1(y: float) -> float:
@@ -110,7 +120,7 @@ def eval_viscosity2(t: float, x, m_prime: float):
     with np.errstate(over="ignore"):
         denom = math.copysign(1.0, q) * np.exp(
             np.where(neg, log_c, log_a) + r * r
-        ) + np.where(neg, _SQRT_PI, -_SQRT_PI) * erfcx(r)
+        ) + np.where(neg, _SQRT_PI, -_SQRT_PI) * _erfcx()(r)
     out = (_TWO_SQRT2 / math.sqrt(t)) / denom
     return float(out) if x_arr.ndim == 0 else out
 

@@ -387,6 +387,41 @@ class TestCheckCommand:
         assert rc == 2
         assert "config error" in err and key in err
 
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            (
+                {"suite": "kernel_closed_forms",
+                 "case": {"dx": 1, "theta": 1, "n": 100000000000}},
+                "'n'",
+            ),
+            ({"suite": "series_bound", "case": {"a": -1.0, "phi": 0.1, "n": 5}}, "'a'"),
+            ({"suite": "lp_monotone", "case": {"case_seed": -1}}, "'case_seed'"),
+        ],
+        ids=["huge-kernel", "negative-a", "negative-seed"],
+    )
+    def test_out_of_range_replay_is_config_error(self, tmp_path, capsys, payload, key):
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps(payload))
+        rc = main(["check", "--replay", str(path), "--out", str(tmp_path / "chk")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "config error" in captured.err and key in captured.err
+        assert "outside" in captured.err
+        assert captured.out == ""
+
+    def test_replay_ranges_cover_generated_cases(self):
+        from augburgers import cli as cli_mod
+
+        rng = np.random.default_rng(3)
+        for name, (gen, _, _) in cli_mod._SUITES.items():
+            ranges = cli_mod._CASE_RANGES[name]
+            for case in gen(rng, 200):
+                assert set(case) == set(ranges), name
+                for key, val in case.items():
+                    lo, hi = ranges[key]
+                    assert lo <= val <= hi, (name, key, val)
+
     def test_failure_serializes_replay_case(self, tmp_path, capsys, monkeypatch):
         from augburgers import cli as cli_mod
 
@@ -415,3 +450,55 @@ def test_config_items_render_roundtrip():
     rendered = dict(cfg.items())
     assert rendered["nu"] == "0.01"
     assert rendered["snapshot_times"] == "100,1000,10000"
+
+
+def test_float_csv_matches_csv_writer(tmp_path):
+    import csv
+
+    from augburgers.cli import _write_float_csv
+
+    values = [-0.0, 5e-324, 1e-310, 1e300, 1.0 / 3.0, 0.0, -2.5, 0.1]
+    blocks = [
+        np.array(values[:6]).reshape(2, 3),
+        np.empty((0, 3)),
+        np.array(values[2:]).reshape(2, 3),
+    ]
+    path = tmp_path / "bulk.csv"
+    _write_float_csv(str(path), ["t", "x", "u"], blocks)
+    oracle = tmp_path / "oracle.csv"
+    with open(oracle, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "x", "u"])
+        for block in blocks:
+            for row in block:
+                writer.writerow([format(float(v), ".17g") for v in row])
+    assert path.read_bytes() == oracle.read_bytes()
+    assert path.read_bytes().startswith(
+        b"t,x,u\r\n-0,4.9406564584124654e-324,9.9999999999999694e-311\r\n"
+    )
+
+
+def test_run_setup_does_not_import_scipy_special():
+    # The diffusive wave is the only user of scipy.special; a fresh
+    # interpreter that parses, builds the grid, the kernel and the projected
+    # reference datum must not load it.
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "from augburgers import cli, grid, initial, kernel\n"
+        "cfg = cli.parse_config('')\n"
+        "g = grid.make_grid(cfg.x_left, cfg.x_right, cfg.dx)\n"
+        "kernel.build(cfg.dx, cfg.theta, kernel.choose_n(cfg.dx, cfg.theta, cfg.tail_tol))\n"
+        "grid.project_initial(initial.sine_bumps(), g)\n"
+        "assert 'scipy.special' not in sys.modules, sorted(sys.modules)\n"
+    )
+    import augburgers
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(augburgers.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert res.returncode == 0, res.stderr

@@ -174,6 +174,94 @@ class TestNorms:
         assert mass(w) == norm(w, 1)
 
 
+def oracle_sum(x):
+    return math.fsum(np.asarray(x, dtype=float).tolist())
+
+
+@st.composite
+def decaying_arrays(draw):
+    """Arrays shaped like solution errors: a bulk with Gaussian or exponential
+    tails reaching subnormals, exact-zero margins, mixed signs, all-zero and
+    all -0.0 data, and single-cell spikes."""
+    n = draw(st.integers(min_value=2, max_value=3200))
+    kind = draw(st.sampled_from(["gauss", "exp", "spike", "zeros"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    # Mostly ordinary magnitudes; extremes reach the range where the head
+    # split is not used.
+    amp = 10.0 ** draw(st.one_of(st.floats(-20.0, 20.0), st.floats(-300.0, 100.0)))
+    d = np.abs(np.arange(n) - draw(st.integers(min_value=0, max_value=n - 1)))
+    if kind == "zeros":
+        return np.full(n, draw(st.sampled_from([0.0, -0.0])))
+    if kind == "spike":
+        x = np.where(d == 0, amp, 0.0)
+        if draw(st.booleans()):
+            x = x + rng.random(n) * 5e-324 * 2**20
+    else:
+        # Scales chosen so that the far cells reach the subnormal range or
+        # underflow to exact zeros.
+        width = draw(st.floats(min_value=0.5, max_value=float(n)))
+        with np.errstate(under="ignore"):
+            if kind == "gauss":
+                x = amp * np.exp(-0.5 * (d / width) ** 2)
+            else:
+                x = amp * np.exp(-(d / width) * 50.0)
+        x = x * (1.0 + 0.1 * rng.random(n))
+    if draw(st.booleans()):
+        x = x * rng.choice([-1.0, 1.0], n)
+    lo, hi = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+    if draw(st.booleans()):
+        x[:lo] = 0.0
+        x[hi:] = 0.0
+    return x
+
+
+class TestExactSums:
+    """``norm`` and ``mass`` equal plain ``math.fsum`` of their terms."""
+
+    @given(decaying_arrays(), st.sampled_from([1.0, 0.1, 0.37]))
+    @settings(max_examples=300, deadline=None)
+    def test_match_fsum_oracle(self, x, dx):
+        w = gf(x, dx=dx)
+        av = np.abs(x)
+        assert mass(w) == dx * oracle_sum(x)
+        assert norm(w, 1) == dx * oracle_sum(av)
+        assert norm(w, 2) == (dx * oracle_sum(av * av)) ** 0.5
+        assert norm(w, 3) == (dx * oracle_sum(av**3.0)) ** (1.0 / 3.0)
+
+    def test_rounding_midpoint_takes_full_sum(self, monkeypatch):
+        # 1 + 2^-53 is a tie between 1 and 1 + 2^-52; the tail 2^-80 breaks
+        # it upward, so the head sums shifted by -/+ 2^-63 round apart and
+        # only the full sum gives the exactly rounded total.
+        x = [1.0, 2.0**-53, 2.0**-80]
+        seen = []
+        fsum = math.fsum
+
+        def spy(values):
+            seen.append(list(values))
+            return fsum(values)
+
+        monkeypatch.setattr(math, "fsum", spy)
+        total = mass(gf(x))
+        l1 = norm(gf(x), 1)
+        monkeypatch.undo()
+        assert total == l1 == 1.0 + 2.0**-52 == oracle_sum(x)
+        assert seen.count(x) == 2
+
+    def test_mass_signed_cancellation(self):
+        # The head cancels to 2^-60; the tail cell 2^-70 still shows in the
+        # exactly rounded total.
+        x = np.zeros(50)
+        x[[3, 10, 20, 40]] = [1.0, 2.0**-60, -1.0, 2.0**-70]
+        assert mass(gf(x, dx=0.5)) == 0.5 * (2.0**-60 + 2.0**-70)
+        assert mass(gf(x, dx=0.5)) == 0.5 * oracle_sum(x)
+        assert mass(gf(-x)) == -(2.0**-60 + 2.0**-70)
+
+    def test_zero_data(self):
+        for x in (np.zeros(7), np.full(7, -0.0)):
+            assert math.copysign(1.0, mass(gf(x))) == math.copysign(1.0, oracle_sum(x))
+            assert norm(gf(x), 2) == 0.0
+
+
 class TestZeroPad:
     def test_values_and_extent(self):
         w = gf([1.0, 2.0], dx=0.5)

@@ -75,6 +75,27 @@ class TestScaledProfileError:
             )
 
 
+    def test_given_samples_are_used_and_missing_times_sampled(self):
+        rng = np.random.default_rng(4)
+        snaps = [
+            (t, GridFunction(self.grid, rng.random(self.grid.num_cells)))
+            for t in (1.0, 2.0, 5.0)
+        ]
+        rec = record_from_snapshots(snaps)
+        samples = {t: sample_on_grid(self.wave, self.grid, t) for t in (1.0, 5.0)}
+        for p in (1.0, 2.0, math.inf):
+            plain = scaled_profile_error(rec, self.wave, p)
+            shared = scaled_profile_error(rec, self.wave, p, samples=samples)
+            np.testing.assert_array_equal(shared.values, plain.values)
+        # A sample stands in for the wave at its time: the snapshot equal to
+        # it is at distance zero.
+        series = scaled_profile_error(rec, self.wave, 1.0, samples={1.0: snaps[0][1]})
+        assert series.values[0] == 0.0
+        np.testing.assert_array_equal(
+            series.values[1:], scaled_profile_error(rec, self.wave, 1.0).values[1:]
+        )
+
+
 class TestMonitors:
     def test_zero_data_gives_zero_series(self):
         g = make_grid(0.0, 4.0, 0.5)

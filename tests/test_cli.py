@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from augburgers import cli
 from augburgers.cli import ConfigError, ExperimentConfig, main, parse_config
 
 
@@ -215,6 +216,27 @@ class TestRatesCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == 0
+
+
+    def test_samples_the_wave_once_per_time(self, tmp_path, monkeypatch):
+        from augburgers import analysis, profile
+
+        calls = []
+        real = profile.sample_on_grid
+
+        def counted(wave, grid, t, x_offset=0.0):
+            calls.append(t)
+            return real(wave, grid, t, x_offset)
+
+        monkeypatch.setattr(profile, "sample_on_grid", counted)
+        monkeypatch.setattr(analysis, "sample_on_grid", counted)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(SMALL + "t_end = 10\nsnapshot_times =\n")
+        assert main(["rates", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+        times = cli._rates_time_grid(10.0)
+        assert sorted(calls) == times
+        _, rows = read_rows(tmp_path / "r" / "rates.csv")
+        assert len(rows) == 3 * 3 * len(times)
 
 
 class TestNwaveCommand:
@@ -478,27 +500,95 @@ def test_float_csv_matches_csv_writer(tmp_path):
     )
 
 
-def test_run_setup_does_not_import_scipy_special():
-    # The diffusive wave is the only user of scipy.special; a fresh
-    # interpreter that parses, builds the grid, the kernel and the projected
-    # reference datum must not load it.
+def test_runtime_never_imports_scipy(tmp_path):
+    # The runtime needs NumPy only: in a fresh interpreter where every scipy
+    # import raises, rates, profile and the full check suites exit 0 and no
+    # scipy module is loaded.
     import subprocess
     import sys
 
     code = (
         "import sys\n"
-        "from augburgers import cli, grid, initial, kernel\n"
-        "cfg = cli.parse_config('')\n"
-        "g = grid.make_grid(cfg.x_left, cfg.x_right, cfg.dx)\n"
-        "kernel.build(cfg.dx, cfg.theta, kernel.choose_n(cfg.dx, cfg.theta, cfg.tail_tol))\n"
-        "grid.project_initial(initial.sine_bumps(), g)\n"
-        "assert 'scipy.special' not in sys.modules, sorted(sys.modules)\n"
+        "class BlockScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError('scipy import attempted: ' + name)\n"
+        "sys.meta_path.insert(0, BlockScipy())\n"
+        "from augburgers.cli import main\n"
+        "out = sys.argv[1]\n"
+        "for argv in (\n"
+        "    ['rates', '--t-end', '1', '--snapshot-times', '1', '--out', out + '/r'],\n"
+        "    ['profile', '--t-end', '1', '--snapshot-times', '1', '--out', out + '/p'],\n"
+        "    ['check', '--seed', '0', '--out', out + '/c'],\n"
+        "):\n"
+        "    assert main(argv) == 0, argv\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
     )
     import augburgers
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(augburgers.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     res = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
     )
     assert res.returncode == 0, res.stderr
+
+
+def _corner_cases():
+    return [
+        {"mass": m, "viscosity": a, "t": t}
+        for m in (-2.0, -0.05, 0.05, 2.0)
+        for a in (0.01, 3.0)
+        for t in (0.5, 10.0)
+    ]
+
+
+class TestProfileMassQuadrature:
+    """The profile_mass suite's Gauss-Legendre rule against scipy's quad."""
+
+    @staticmethod
+    def quad_oracle(wave, t, lim):
+        from scipy.integrate import quad
+
+        from augburgers import profile
+
+        return quad(
+            lambda x: profile.eval(wave, t, x), -lim, lim, limit=400, epsabs=1e-10
+        )[0]
+
+    @pytest.mark.parametrize(
+        "case",
+        _corner_cases()
+        + list(cli._gen_profile_mass(np.random.default_rng(11), 50)),
+    )
+    def test_matches_quad(self, case):
+        from augburgers import analysis, profile
+
+        wave = profile.AsymptoticProfile(mass=case["mass"], viscosity=case["viscosity"])
+        t = case["t"]
+        lim = 40.0 * math.sqrt(2.0 * wave.viscosity * t) + 30.0
+        val = analysis.profile_integral(wave, t, lim)
+        assert val is not None
+        assert abs(val - self.quad_oracle(wave, t, lim)) <= 1e-9
+        ok, message = cli._check_profile_mass(case)
+        assert ok, message
+
+    @pytest.mark.parametrize(
+        "fake_eval",
+        [
+            # Noise: no panel is ever accepted, so the open panels multiply.
+            lambda wave, t, x: np.random.default_rng(0).random(np.shape(x)),
+            # A unit jump: only the panel holding it stays open, level by level.
+            lambda wave, t, x: np.where(np.asarray(x) > 0.3, 1.0, 0.0),
+        ],
+        ids=["noise", "jump"],
+    )
+    def test_unresolvable_wave_fails_without_hanging(self, monkeypatch, fake_eval):
+        from augburgers import profile
+
+        monkeypatch.setattr(profile, "eval", fake_eval)
+        ok, message = cli._check_profile_mass({"mass": 1.0, "viscosity": 1.0, "t": 1.0})
+        assert not ok
+        assert "did not converge" in message

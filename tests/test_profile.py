@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +12,7 @@ from augburgers.analysis import pde_residual
 from augburgers.grid import make_grid, mass
 from augburgers.profile import (
     AsymptoticProfile,
+    _erfcx,
     c_constant,
     effective_viscosity,
     eval as profile_eval,
@@ -157,6 +159,59 @@ class TestExtremeMass:
                 for lo, hi in zip(pieces[:-1], pieces[1:])
             )
         assert abs(val - m) <= 1e-9 * abs(m)
+
+
+def erfcx_oracle(r):
+    """40-digit ``exp(r^2) erfc(r)``.  mpmath's erfc raises OverflowError on
+    huge arguments (1e300); past 1e50 the series' second term is below
+    1e-100, so ``1/(r sqrt(pi))`` is exact to all 40 digits."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(r)
+        if r > 1e50:
+            return float(1 / (x * mpmath.sqrt(mpmath.pi)))
+        return float(mpmath.exp(x * x) * mpmath.erfc(x))
+
+
+class TestErfcx:
+    """The standard-library erfcx on both sides of its r = 25 switch."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        r=st.one_of(
+            st.floats(0.0, 30.0),
+            st.floats(20.0, 60.0),
+            st.floats(0.0, 1e300),
+            st.floats(0.0, 2.2250738585072014e-308),
+        )
+    )
+    @example(r=0.0)
+    @example(r=5e-324)
+    @example(r=1e-310)
+    @example(r=25.0)
+    @example(r=math.nextafter(25.0, 0.0))
+    @example(r=math.nextafter(25.0, math.inf))
+    @example(r=24.9)  # r^2 inexact: exp(r*r) alone errs by up to r^2 eps/2
+    @example(r=1e300)
+    @example(r=1.7976931348623157e308)  # the largest float: no overflow
+    def test_matches_mpmath(self, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = float(_erfcx(r))
+        ref = erfcx_oracle(r)
+        assert abs(got - ref) <= 2e-15 * ref
+
+    def test_array_shape_and_limits(self):
+        r = np.array([[0.0, 25.0], [30.0, math.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _erfcx(r)
+        assert out.shape == r.shape
+        assert out[0, 0] == 1.0
+        assert out[1, 1] == 0.0
+        np.testing.assert_allclose(
+            out.ravel()[:3], [erfcx_oracle(v) for v in (0.0, 25.0, 30.0)],
+            rtol=2e-15, atol=0.0,
+        )
 
 
 class TestGeneralViscosity:

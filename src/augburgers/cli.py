@@ -238,12 +238,18 @@ def parse_config(text: str = "", overrides: dict | None = None) -> ExperimentCon
     span = cfg.x_right - cfg.x_left
     if round(span / cfg.dx) < 2:
         raise ConfigError(f"dx = {cfg.dx}: fewer than 2 cells span the domain")
-    for t in cfg.snapshot_times:
-        if t <= 0.0 or t > cfg.t_end:
-            raise ConfigError(
-                f"snapshot_times entry {t!r} outside (0, t_end = {cfg.t_end}]"
-            )
     return cfg
+
+
+def _snapshot_times(config: ExperimentConfig) -> tuple[float, ...]:
+    # Checked by the commands that read them (run, profile); rates and nwave
+    # choose their own times, so a horizon shorter than the defaults is fine.
+    for t in config.snapshot_times:
+        if t <= 0.0 or t > config.t_end:
+            raise ConfigError(
+                f"snapshot_times entry {t!r} outside (0, t_end = {config.t_end}]"
+            )
+    return config.snapshot_times
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +353,7 @@ def _run_extras(record: scheme.RunRecord) -> dict:
 
 
 def cmd_run(config: ExperimentConfig) -> int:
+    snapshot_times = _snapshot_times(config)
     grid, quad, params, scheme_config = _build_setup(config)
     u0 = _build_initial(config, grid)
     os.makedirs(config.output_dir, exist_ok=True)
@@ -355,7 +362,7 @@ def cmd_run(config: ExperimentConfig) -> int:
         params,
         scheme_config,
         t_end=config.t_end,
-        snapshot_times=config.snapshot_times,
+        snapshot_times=snapshot_times,
         safety=config.safety,
         dt_max=config.dt_max,
     )
@@ -537,6 +544,7 @@ def cmd_selfconv(config: ExperimentConfig, dx_list: str, t_check: float) -> int:
 
 
 def cmd_profile(config: ExperimentConfig, continuum: bool) -> int:
+    times = _snapshot_times(config) or (config.t_end,)
     grid, quad, params, _ = _build_setup(config)
     u0 = _build_initial(config, grid)
     total_mass = mass(u0)
@@ -544,7 +552,6 @@ def cmd_profile(config: ExperimentConfig, continuum: bool) -> int:
         config.nu, config.c, None if continuum else quad.moment2
     )
     wave = profile.AsymptoticProfile(mass=total_mass, viscosity=a)
-    times = config.snapshot_times or (config.t_end,)
     os.makedirs(config.output_dir, exist_ok=True)
     _write_float_csv(
         os.path.join(config.output_dir, "profile.csv"),

@@ -18,9 +18,10 @@ Forward Euler stepping is stable (monotone) when
 
     dt * ( max_j |u_j|/dx + 2 nu/dx^2 + (c/theta^2) * sum (m+1) w_m ) <= 1.
 
-The memory sum is the paper's direct truncated sum, evaluated as one
-``np.convolve`` of the cell values with the quadrature weights; the face
-fluxes come from :mod:`augburgers.flux`.
+The face fluxes come from :mod:`augburgers.flux`.  The viscosity, both
+correctors and the paper's direct truncated memory sum are one linear
+stencil, applied by one ``np.convolve``.  Cells left of the first nonzero
+cell less one are skipped: their right-hand side is exactly 0.0.
 """
 
 from __future__ import annotations
@@ -172,6 +173,15 @@ def rhs(
 
     ``dt_ref`` is required for the modified Lax-Friedrichs flux, whose
     dissipation is tied to the current time step.
+
+    Every term of ``rhs_j`` reads only ``u_{j-N} .. u_{j+1}`` and vanishes
+    on zero data (both fluxes are 0 at (0, 0)), so ``rhs_j`` is exactly 0.0
+    for ``j < lo = max(first nonzero cell - 1, 0)``; only ``u[lo:]`` is
+    assembled.  The linear terms act as one stencil
+    ``k = [a+, a0, b1 + nu/dx^2, b2, ...]`` on ``u_{j+1}, u_j, u_{j-1}, ...``,
+    with ``a+ = nu/dx^2 + c M1/(theta dx)``,
+    ``a0 = -2 nu/dx^2 - (c/theta^2) M0 - c M1/(theta dx)`` and
+    ``b_m = (c/theta^2) w_m``.
     """
     if state.u.grid is not config.grid and state.u.grid != config.grid:
         raise ValueError("state grid does not match scheme configuration grid")
@@ -180,8 +190,12 @@ def rhs(
     dx = config.grid.dx
     m0, m1 = config.corrector_factors()
 
-    upad = np.zeros(n + 2)
-    upad[1:-1] = u
+    lo = max(int((u != 0.0).argmax()) - 1, 0)
+    uw = u[lo:]
+    m = n - lo
+
+    upad = np.zeros(m + 2)
+    upad[1:-1] = uw
     left, right = upad[:-1], upad[1:]
     if config.flux is FluxKind.MODIFIED_LAX_FRIEDRICHS:
         if dt_ref is None or not dt_ref > 0.0:
@@ -192,20 +206,27 @@ def rhs(
     else:
         g = eo_flux(left, right)
 
-    # conv_j = sum_{m=1..N} w_m u_{j-m}: the full convolution shifted by one cell.
-    conv = np.zeros(n)
-    conv[1:] = np.convolve(u, config.quadrature.weights)[: n - 1]
+    # Weights past the (m - 1)st never reach a cell of the window.
+    w = config.quadrature.weights[: max(m - 1, 1)]
+    mem = params.c / (params.theta * params.theta)
+    visc = params.nu / (dx * dx)
+    drift = params.c * m1 / (params.theta * dx)
+    k = np.empty(w.shape[0] + 2)
+    k[0] = visc + drift
+    k[1] = -2.0 * visc - mem * m0 - drift
+    k[2:] = mem * w
+    k[2] += visc
 
-    vals = (g[1:] - g[:-1]) / dx + (params.nu / (dx * dx)) * (
-        (upad[:-2] - 2.0 * u) + upad[2:]
-    )
-    vals += (params.c / (params.theta * params.theta)) * (conv - m0 * u)
-    vals += (params.c * m1 / (params.theta * dx)) * (upad[2:] - u)
-    if not np.isfinite(vals).all():
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+    part = g[1:] - g[:-1]
+    part /= dx
+    part += np.convolve(uw, k)[1 : m + 1]
+    if not np.isfinite(part).all():
+        bad = lo + int(np.flatnonzero(~np.isfinite(part))[0])
         raise SolverAbort(
             f"right-hand side is not finite in cell {bad} at t = {state.t!r}"
         )
+    vals = np.zeros(n)
+    vals[lo:] = part
     return GridFunction.from_checked(config.grid, vals)
 
 

@@ -286,8 +286,8 @@ class TestSeriesBound:
             s2 = mpmath.fsum(k * mpmath.mpf(a) ** k for k in range(1, n + 1))
             lhs = abs(s1 + s2 * (1 / b - 1))
             rhs = abs(b - 1) ** 2 * a / (1 - mpmath.mpf(a)) ** 3
-        assert res.lhs == pytest.approx(float(lhs), rel=1e-12)
-        assert res.rhs == pytest.approx(float(rhs), rel=1e-12)
+        assert res.lhs == pytest.approx(float(lhs), rel=1e-12, abs=0)
+        assert res.rhs == pytest.approx(float(rhs), rel=1e-12, abs=0)
         assert res.holds
 
     def test_randomized_corpus_all_hold(self):

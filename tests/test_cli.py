@@ -65,10 +65,6 @@ class TestParseConfig:
         cfg = parse_config("dx = 0.1", {"dx": "0.05"})
         assert cfg.dx == 0.05
 
-    def test_snapshot_times_inside_horizon(self):
-        with pytest.raises(ConfigError, match="snapshot_times"):
-            parse_config("t_end = 1\nsnapshot_times = 2\n")
-
     def test_initial_data_specs(self):
         assert parse_config("initial_data = gaussian:1,2").initial_data.startswith(
             "gaussian:"
@@ -192,6 +188,16 @@ class TestRunCommand:
         assert rc == 2
         assert "nu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    def test_snapshot_times_inside_horizon(self, tmp_path, capsys, command):
+        # run and profile read snapshot_times, so they reject times past
+        # t_end, the defaults (100, 1000, 10000) included.
+        for extra in (["--t-end", "1", "--snapshot-times", "2"], ["--t-end", "100"]):
+            argv = [command, "--out", str(tmp_path / "x"), *extra]
+            assert main(argv) == 2
+            assert "snapshot_times" in capsys.readouterr().err
+        assert parse_config("t_end = 1\nsnapshot_times = 2\n").snapshot_times == (2.0,)
+
 
 class TestRatesCommand:
     def test_structure_and_determinism(self, tmp_path):
@@ -217,6 +223,14 @@ class TestRatesCommand:
             warnings.simplefilter("error")
             assert main(argv) == 0
 
+    def test_ignores_snapshot_times(self, tmp_path):
+        # rates compares on its own time grid, so the default snapshot times
+        # past a short t_end are not an error and change nothing.
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        assert main(["rates", "--t-end", "100", "--out", str(out1)]) == 0
+        assert main(["rates", "--t-end", "100", "--snapshot-times", "100",
+                     "--out", str(out2)]) == 0
+        assert read(out1 / "rates.csv") == read(out2 / "rates.csv")
 
     def test_samples_the_wave_once_per_time(self, tmp_path, monkeypatch):
         from augburgers import analysis, profile

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from augburgers.flux import FluxKind
+from augburgers.flux import FluxKind, eo_flux
 from augburgers.grid import GridFunction, make_grid, mass, norm
 from augburgers.kernel import build, choose_n
 from augburgers.scheme import (
@@ -103,15 +103,42 @@ class TestRhs:
         corrector=st.sampled_from(CorrectorMode),
         dt_ref=st.floats(0.01, 1.0),
         seed=st.integers(0, 2**32 - 1),
+        prefix=st.integers(0, 40),
+        width=st.integers(1, 40),
     )
     @example(n=12, n_terms=1, dx=0.5, nu=0.3, c=0.7, theta=1.5,
              flux=FluxKind.ENGQUIST_OSHER, corrector=CorrectorMode.CORRECTED,
-             dt_ref=0.1, seed=1)
+             dt_ref=0.1, seed=1, prefix=0, width=40)
     @example(n=12, n_terms=30, dx=0.5, nu=0.3, c=0.7, theta=1.5,
              flux=FluxKind.MODIFIED_LAX_FRIEDRICHS, corrector=CorrectorMode.NAIVE,
-             dt_ref=0.1, seed=2)
+             dt_ref=0.1, seed=2, prefix=0, width=40)
+    # All zeros; only the last cell nonzero; only the first cell nonzero.
+    @example(n=12, n_terms=5, dx=0.5, nu=0.3, c=0.7, theta=1.5,
+             flux=FluxKind.ENGQUIST_OSHER, corrector=CorrectorMode.CORRECTED,
+             dt_ref=0.1, seed=3, prefix=12, width=40)
+    @example(n=12, n_terms=5, dx=0.5, nu=0.3, c=0.7, theta=1.5,
+             flux=FluxKind.ENGQUIST_OSHER, corrector=CorrectorMode.CORRECTED,
+             dt_ref=0.1, seed=4, prefix=11, width=1)
+    @example(n=12, n_terms=5, dx=0.5, nu=0.3, c=0.7, theta=1.5,
+             flux=FluxKind.ENGQUIST_OSHER, corrector=CorrectorMode.CORRECTED,
+             dt_ref=0.1, seed=5, prefix=0, width=1)
+    # More kernel terms than cells, behind a zero prefix.
+    @example(n=8, n_terms=30, dx=0.5, nu=0.3, c=0.7, theta=1.5,
+             flux=FluxKind.ENGQUIST_OSHER, corrector=CorrectorMode.CORRECTED,
+             dt_ref=0.1, seed=6, prefix=3, width=40)
+    # The nu = 0 and c = 0 ablations.
+    @example(n=12, n_terms=5, dx=0.5, nu=0.0, c=0.7, theta=1.5,
+             flux=FluxKind.ENGQUIST_OSHER, corrector=CorrectorMode.CORRECTED,
+             dt_ref=0.1, seed=7, prefix=5, width=40)
+    @example(n=12, n_terms=5, dx=0.5, nu=0.3, c=0.0, theta=1.5,
+             flux=FluxKind.ENGQUIST_OSHER, corrector=CorrectorMode.CORRECTED,
+             dt_ref=0.1, seed=8, prefix=5, width=40)
+    @example(n=12, n_terms=8, dx=0.5, nu=0.3, c=0.7, theta=1.5,
+             flux=FluxKind.MODIFIED_LAX_FRIEDRICHS, corrector=CorrectorMode.NAIVE,
+             dt_ref=0.1, seed=9, prefix=4, width=40)
     def test_matches_literal_assembly(
-        self, n, n_terms, dx, nu, c, theta, flux, corrector, dt_ref, seed
+        self, n, n_terms, dx, nu, c, theta, flux, corrector, dt_ref, seed, prefix,
+        width,
     ):
         # Independent oracle: a direct per-cell loop over the scheme formula,
         # with the truncated memory sum written out term by term.
@@ -122,7 +149,11 @@ class TestRhs:
         config = SchemeConfig(
             flux=flux, quadrature=quad, corrector_mode=corrector, grid=grid
         )
+        # Nonzero only on cells prefix .. prefix + width - 1, so the zero
+        # window left of the data is exercised, from empty to all cells.
         u = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        u[:prefix] = 0.0
+        u[prefix + width :] = 0.0
         state = SolverState(0.0, GridFunction(grid, u))
 
         def at(j):
@@ -150,6 +181,73 @@ class TestRhs:
             )
         got = rhs(state, params, config, dt_ref=dt_ref).values
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        n_terms=st.integers(1, 80),
+        nu=st.floats(0.0, 1.0),
+        c=st.floats(0.0, 1.0),
+        flux=st.sampled_from(FluxKind),
+        corrector=st.sampled_from(CorrectorMode),
+        prefix=st.integers(0, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exactly_zero_left_of_data(
+        self, n, n_terms, nu, c, flux, corrector, prefix, seed
+    ):
+        # rhs_j reads u_{j-N} .. u_{j+1} only, so every cell left of the
+        # first nonzero one less one is exactly 0.0, whatever the stencil.
+        assume(nu + c > 0.0)
+        dx = 0.5
+        grid = make_grid(0.0, n * dx, dx)
+        config = SchemeConfig(
+            flux=flux, quadrature=build(dx, 1.0, n_terms),
+            corrector_mode=corrector, grid=grid,
+        )
+        u = np.random.default_rng(seed).uniform(0.1, 1.0, n)
+        u[:prefix] = 0.0
+        state = SolverState(0.0, GridFunction(grid, u))
+        got = rhs(state, PhysicalParams(nu=nu, c=c), config, dt_ref=0.1).values
+        assert np.all(got[: max(prefix - 1, 0)] == 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        nu=st.floats(0.0, 0.5),
+        c=st.floats(0.05, 1.0),
+        theta=st.floats(0.2, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_first_moment_balance(self, nu, c, theta, seed):
+        # In CORRECTED mode each column of the linear stencil has zeroth
+        # moment (c/theta^2)(sum w_m - M0) = 0 and first moment
+        # -c M1/theta + (c/theta^2) dx sum m w_m = 0, so for data clear of
+        # both edges only the flux moves the first moment:
+        # dx sum x_j rhs_j = -dx sum_faces g.  NAIVE mode (M0 = M1 = 1)
+        # breaks the balance.
+        dx = 0.25
+        n_terms = choose_n(dx, theta, 1e-6)
+        n = n_terms + 40
+        grid = make_grid(-15 * dx, (n - 15) * dx, dx)
+        quad = build(dx, theta, n_terms)
+        params = PhysicalParams(nu=nu, c=c, theta=theta)
+        u = np.zeros(n)
+        u[5:25] = np.random.default_rng(seed).uniform(-0.3, 1.0, 20)
+        state = SolverState(0.0, GridFunction(grid, u))
+        upad = np.concatenate(([0.0], u, [0.0]))
+        faces = dx * math.fsum(eo_flux(upad[:-1], upad[1:]).tolist())
+        x = grid.cell_centers
+        rel = {}
+        for mode in CorrectorMode:
+            config = SchemeConfig(
+                flux=FluxKind.ENGQUIST_OSHER, quadrature=quad,
+                corrector_mode=mode, grid=grid,
+            )
+            xr = x * rhs(state, params, config).values
+            residual = dx * math.fsum(xr.tolist()) + faces
+            rel[mode] = abs(residual) / (dx * math.fsum(np.abs(xr).tolist()))
+        assert rel[CorrectorMode.CORRECTED] <= 1e-12
+        assert rel[CorrectorMode.NAIVE] >= 1e-6
 
     def test_mlf_needs_reference_step(self):
         grid, params, config = make_setup(flux=FluxKind.MODIFIED_LAX_FRIEDRICHS)
@@ -491,6 +589,22 @@ class TestLockstep:
             assert new.t == state.t + dt
             state, count = new, count + 1
         assert count == 7
+
+    @pytest.mark.parametrize("flux", list(FluxKind))
+    def test_leading_zeros_shrink_at_most_one_cell_per_step(self, flux):
+        # The stencil reaches one cell to the left, so the zero cells left of
+        # the data give way at most one cell per step and stay exactly 0.0.
+        grid, params, config = make_setup(tail_tol=1e-6, flux=flux)
+        u0 = interior_state(grid, np.random.default_rng(14), 60).u
+
+        def leading_zeros(v):
+            return int((v != 0.0).argmax()) if v.any() else v.size
+
+        counts = [leading_zeros(u0.values)]
+        for _, (s,) in itertools.islice(march([u0], params, config), 40):
+            counts.append(leading_zeros(s.u.values))
+        assert all(b >= a - 1 for a, b in zip(counts, counts[1:]))
+        assert counts[-1] < counts[0]
 
     def test_l1_contraction(self):
         grid, params, config = make_setup(tail_tol=1e-6)

@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -34,50 +34,13 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    nu: float = 1e-2
-    c: float = 2e-2
-    theta: float = 1.0
-    dx: float = 0.1
-    x_left: float = -160.0
-    x_right: float = 160.0
-    flux: str = "eo"
-    corrector_mode: str = "corrected"
-    tail_tol: float = kernel.DEFAULT_TAIL_TOL
-    safety: float = 0.9
-    dt_max: float = scheme.DEFAULT_DT_MAX
-    t_end: float = 1e4
-    snapshot_times: tuple[float, ...] = (1e2, 1e3, 1e4)
-    initial_data: str = "sines"
-    seed: int = 0
-    output_dir: str = "out"
-
-    def items(self) -> list[tuple[str, str]]:
-        """Canonical (key, rendered value) pairs, in field order."""
-        out = []
-        for f in fields(self):
-            out.append((f.name, _render(getattr(self, f.name))))
-        return out
-
-
-def _render(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, tuple):
-        return ",".join(format(v, ".17g") for v in value)
-    return str(value)
-
-
 def _parse_float(key, raw, lo=None, hi=None, lo_open=False, hi_open=False):
     try:
         val = float(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} = {raw!r}: expected a number") from None
-    if math.isnan(val):
-        raise ConfigError(f"{key} = {raw!r}: NaN is not allowed")
+    if not math.isfinite(val):
+        raise ConfigError(f"{key} = {raw!r}: must be a finite number")
     if lo is not None and (val < lo or (lo_open and val == lo)):
         raise ConfigError(
             f"{key} = {raw!r}: must be {'>' if lo_open else '>='} {lo}"
@@ -89,17 +52,39 @@ def _parse_float(key, raw, lo=None, hi=None, lo_open=False, hi_open=False):
     return val
 
 
-def _parse_snapshot_times(raw) -> tuple[float, ...]:
-    if isinstance(raw, tuple):
-        return raw
-    parts = [p.strip() for p in str(raw).split(",") if p.strip()]
+# Parse rules: each takes (key, raw value) and returns the checked value or
+# raises ConfigError naming the key.
+
+
+def _number(lo=None, hi=None, lo_open=False, hi_open=False):
+    return lambda key, raw: _parse_float(key, raw, lo, hi, lo_open, hi_open)
+
+
+def _choice(*options):
+    def parse(key, raw):
+        val = str(raw).strip().lower()
+        if val not in options:
+            raise ConfigError(
+                f"{key} = {raw!r}: must be " + " or ".join(map(repr, options))
+            )
+        return val
+
+    return parse
+
+
+def _parse_seed(key, raw) -> int:
     try:
-        times = tuple(sorted(float(p) for p in parts))
+        val = int(str(raw), 0)
     except ValueError:
-        raise ConfigError(
-            f"snapshot_times = {raw!r}: expected comma-separated numbers"
-        ) from None
-    return times
+        raise ConfigError(f"{key} = {raw!r}: expected an integer") from None
+    if val < 0:
+        raise ConfigError(f"{key} = {raw!r}: must be >= 0")
+    return val
+
+
+def _parse_snapshot_times(key, raw) -> tuple[float, ...]:
+    parts = [p.strip() for p in str(raw).split(",") if p.strip()]
+    return tuple(sorted(_parse_float(key, p) for p in parts))
 
 
 def _parse_initial(spec: str):
@@ -143,7 +128,52 @@ def _parse_initial(spec: str):
     )
 
 
-_KNOWN_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+def _key(default, parse):
+    return field(default=default, metadata={"parse": parse})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Every setting of an experiment; each field carries its parse rule."""
+
+    nu: float = _key(1e-2, _number(lo=0.0))
+    c: float = _key(2e-2, _number(lo=0.0))
+    theta: float = _key(1.0, _number(lo=0.0, lo_open=True))
+    dx: float = _key(0.1, _number(lo=0.0, lo_open=True))
+    x_left: float = _key(-160.0, _number())
+    x_right: float = _key(160.0, _number())
+    flux: str = _key("eo", _choice("eo", "mlf"))
+    corrector_mode: str = _key("corrected", _choice("corrected", "naive"))
+    tail_tol: float = _key(
+        kernel.DEFAULT_TAIL_TOL, _number(lo=0.0, hi=1.0, lo_open=True, hi_open=True)
+    )
+    safety: float = _key(0.9, _number(lo=0.0, hi=1.0, lo_open=True))
+    dt_max: float = _key(scheme.DEFAULT_DT_MAX, _number(lo=0.0, lo_open=True))
+    t_end: float = _key(1e4, _number(lo=0.0))
+    snapshot_times: tuple[float, ...] = _key((1e2, 1e3, 1e4), _parse_snapshot_times)
+    initial_data: str = _key("sines", lambda key, raw: _parse_initial(str(raw))[0])
+    seed: int = _key(0, _parse_seed)
+    output_dir: str = _key("out", lambda key, raw: str(raw))
+
+    def items(self) -> list[tuple[str, str]]:
+        """Canonical (key, rendered value) pairs, in field order."""
+        out = []
+        for f in fields(self):
+            out.append((f.name, _render(getattr(self, f.name))))
+        return out
+
+
+def _render(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, tuple):
+        return ",".join(format(v, ".17g") for v in value)
+    return str(value)
+
+
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str = "", overrides: dict | None = None) -> ExperimentConfig:
@@ -161,73 +191,22 @@ def parse_config(text: str = "", overrides: dict | None = None) -> ExperimentCon
             raise ConfigError(f"line {lineno}: expected 'key = value', got {body!r}")
         key, _, value = body.partition("=")
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _FIELDS:
             raise ConfigError(
                 f"unknown key {key!r} (line {lineno}); known keys: "
-                + ", ".join(_KNOWN_KEYS)
+                + ", ".join(_FIELDS)
             )
         raw[key] = value.strip()
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown key {key!r}; known keys: " + ", ".join(_KNOWN_KEYS))
+        if key not in _FIELDS:
+            raise ConfigError(f"unknown key {key!r}; known keys: " + ", ".join(_FIELDS))
         raw[key] = value
 
-    cfg = ExperimentConfig()
-    out: dict[str, object] = {}
-    if "nu" in raw:
-        out["nu"] = _parse_float("nu", raw["nu"], lo=0.0)
-    if "c" in raw:
-        out["c"] = _parse_float("c", raw["c"], lo=0.0)
-    if "theta" in raw:
-        out["theta"] = _parse_float("theta", raw["theta"], lo=0.0, lo_open=True)
-    if "dx" in raw:
-        out["dx"] = _parse_float("dx", raw["dx"], lo=0.0, lo_open=True)
-    if "x_left" in raw:
-        out["x_left"] = _parse_float("x_left", raw["x_left"])
-    if "x_right" in raw:
-        out["x_right"] = _parse_float("x_right", raw["x_right"])
-    if "flux" in raw:
-        val = str(raw["flux"]).strip().lower()
-        if val not in ("eo", "mlf"):
-            raise ConfigError(f"flux = {raw['flux']!r}: must be 'eo' or 'mlf'")
-        out["flux"] = val
-    if "corrector_mode" in raw:
-        val = str(raw["corrector_mode"]).strip().lower()
-        if val not in ("corrected", "naive"):
-            raise ConfigError(
-                f"corrector_mode = {raw['corrector_mode']!r}: must be "
-                "'corrected' or 'naive'"
-            )
-        out["corrector_mode"] = val
-    if "tail_tol" in raw:
-        out["tail_tol"] = _parse_float(
-            "tail_tol", raw["tail_tol"], lo=0.0, hi=1.0, lo_open=True, hi_open=True
-        )
-    if "safety" in raw:
-        out["safety"] = _parse_float(
-            "safety", raw["safety"], lo=0.0, hi=1.0, lo_open=True
-        )
-    if "dt_max" in raw:
-        out["dt_max"] = _parse_float("dt_max", raw["dt_max"], lo=0.0, lo_open=True)
-    if "t_end" in raw:
-        out["t_end"] = _parse_float("t_end", raw["t_end"], lo=0.0)
-    if "snapshot_times" in raw:
-        out["snapshot_times"] = _parse_snapshot_times(raw["snapshot_times"])
-    if "initial_data" in raw:
-        out["initial_data"] = _parse_initial(str(raw["initial_data"]))[0]
-    if "seed" in raw:
-        try:
-            out["seed"] = int(str(raw["seed"]), 0)
-        except ValueError:
-            raise ConfigError(f"seed = {raw['seed']!r}: expected an integer") from None
-        if out["seed"] < 0:
-            raise ConfigError(f"seed = {raw['seed']!r}: must be >= 0")
-    if "output_dir" in raw:
-        out["output_dir"] = str(raw["output_dir"])
-
-    cfg = replace(cfg, **out)
+    cfg = ExperimentConfig(
+        **{k: f.metadata["parse"](k, raw[k]) for k, f in _FIELDS.items() if k in raw}
+    )
 
     if not cfg.nu + cfg.c > 0.0:
         raise ConfigError(f"nu + c must be positive, got nu = {cfg.nu}, c = {cfg.c}")
@@ -236,6 +215,10 @@ def parse_config(text: str = "", overrides: dict | None = None) -> ExperimentCon
             f"x_left = {cfg.x_left} must be smaller than x_right = {cfg.x_right}"
         )
     span = cfg.x_right - cfg.x_left
+    if not math.isfinite(span / cfg.dx):
+        raise ConfigError(
+            f"x_right - x_left = {span} over dx = {cfg.dx} is not a finite cell count"
+        )
     if round(span / cfg.dx) < 2:
         raise ConfigError(f"dx = {cfg.dx}: fewer than 2 cells span the domain")
     return cfg
@@ -335,17 +318,15 @@ def _snapshot_block(t: float, u: GridFunction) -> np.ndarray:
     return np.column_stack((np.full(centers.size, t), centers, u.values))
 
 
-def _run_extras(record: scheme.RunRecord) -> dict:
-    keep = (
-        "n_terms",
-        "moment0",
-        "moment1",
-        "moment2",
-        "stability_sum",
-        "aborted",
-        "boundary_warning",
-    )
-    return {k: record.manifest[k] for k in keep if k in record.manifest}
+def _quadrature_entries(quad: kernel.KernelQuadrature) -> dict:
+    """Manifest entries of the derived kernel quadrature."""
+    return {
+        "n_terms": quad.n_terms,
+        "moment0": quad.moment0,
+        "moment1": quad.moment1,
+        "moment2": quad.moment2,
+        "stability_sum": quad.stability_sum,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +359,13 @@ def cmd_run(config: ExperimentConfig) -> int:
         [np.array(norm_rows, dtype=np.float64).reshape(-1, 5)],
     )
     _write_manifest(
-        os.path.join(config.output_dir, "manifest.txt"), config, _run_extras(record)
+        os.path.join(config.output_dir, "manifest.txt"),
+        config,
+        {
+            **_quadrature_entries(quad),
+            "aborted": record.aborted,
+            "boundary_warning": record.boundary_warning,
+        },
     )
     if record.aborted:
         print("run aborted: non-finite state; last good snapshot kept", file=sys.stderr)
@@ -402,6 +389,9 @@ def _rates_time_grid(t_end: float) -> list[float]:
 
 
 def cmd_rates(config: ExperimentConfig) -> int:
+    # rates compares on its own time grid, so snapshot_times stays out of the
+    # manifest and its hash.
+    config = replace(config, snapshot_times=())
     grid, quad, params, base = _build_setup(config)
     u0 = _build_initial(config, grid)
     times = _rates_time_grid(config.t_end)
@@ -415,7 +405,11 @@ def cmd_rates(config: ExperimentConfig) -> int:
     os.makedirs(config.output_dir, exist_ok=True)
 
     rows = []
-    extras: dict = {"profile_mass": total_mass, "profile_viscosity": wave.viscosity}
+    extras: dict = {
+        **_quadrature_entries(quad),
+        "profile_mass": total_mass,
+        "profile_viscosity": wave.viscosity,
+    }
     aborted = False
     for name, flux, corrector in _RATE_VARIANTS:
         record = scheme.run(
@@ -436,16 +430,12 @@ def cmd_rates(config: ExperimentConfig) -> int:
             series = analysis.scaled_profile_error(later, wave, p, samples=samples)
             for t, value in zip(series.times, series.values):
                 rows.append((t, name, label, value))
-        extras.update({f"{name}_{k}": v for k, v in _run_extras(record).items()
-                       if k == "n_terms"})
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     _write_csv(
         os.path.join(config.output_dir, "rates.csv"),
         ["t", "variant", "p", "scaled_error"],
         rows,
     )
-    extras.update({"n_terms": quad.n_terms, "moment0": quad.moment0,
-                   "moment1": quad.moment1, "moment2": quad.moment2})
     _write_manifest(os.path.join(config.output_dir, "manifest.txt"), config, extras)
     return 1 if aborted else 0
 
@@ -463,8 +453,7 @@ def cmd_nwave(config: ExperimentConfig) -> int:
     grid, quad, params, base = _build_setup(config)
     u0 = _build_initial(config, grid)
     os.makedirs(config.output_dir, exist_ok=True)
-    extras: dict = {"n_terms": quad.n_terms, "moment0": quad.moment0,
-                    "moment1": quad.moment1, "moment2": quad.moment2}
+    extras = _quadrature_entries(quad)
     diag_rows = []
     aborted = False
     for name, flux in (("eo", "eo"), ("mlf", "mlf")):
@@ -562,11 +551,10 @@ def cmd_profile(config: ExperimentConfig, continuum: bool) -> int:
         os.path.join(config.output_dir, "manifest.txt"),
         config,
         {
+            **_quadrature_entries(quad),
             "profile_mass": total_mass,
             "profile_viscosity": a,
             "viscosity_mode": "continuum" if continuum else "discrete",
-            "n_terms": quad.n_terms,
-            "moment2": quad.moment2,
         },
     )
     return 0
@@ -881,30 +869,15 @@ def cmd_check(config: ExperimentConfig, replay: str | None, cases: int | None) -
 # argument parsing
 
 
-_OVERRIDE_FLAGS = (
-    ("--nu", "nu"),
-    ("--c", "c"),
-    ("--theta", "theta"),
-    ("--dx", "dx"),
-    ("--x-left", "x_left"),
-    ("--x-right", "x_right"),
-    ("--flux", "flux"),
-    ("--corrector-mode", "corrector_mode"),
-    ("--tail-tol", "tail_tol"),
-    ("--safety", "safety"),
-    ("--dt-max", "dt_max"),
-    ("--t-end", "t_end"),
-    ("--snapshot-times", "snapshot_times"),
-    ("--initial-data", "initial_data"),
-)
+def _flag(key: str) -> str:
+    """The command-line flag that overrides config key ``key``."""
+    return "--out" if key == "output_dir" else "--" + key.replace("_", "-")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key = value config file")
-    sub.add_argument("--out", help="output directory (overrides output_dir)")
-    sub.add_argument("--seed", type=int, help="seed for randomized suites")
-    for flag, key in _OVERRIDE_FLAGS:
-        sub.add_argument(flag, dest=f"cfg_{key}", metavar="V", help=f"override {key}")
+    for key in _FIELDS:
+        sub.add_argument(_flag(key), dest=f"cfg_{key}", metavar="V", help=f"override {key}")
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -912,16 +885,7 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    overrides: dict[str, object] = {}
-    for _, key in _OVERRIDE_FLAGS:
-        val = getattr(args, f"cfg_{key}", None)
-        if val is not None:
-            overrides[key] = val
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    return parse_config(text, overrides)
+    return parse_config(text, {key: getattr(args, f"cfg_{key}") for key in _FIELDS})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -930,7 +894,7 @@ def main(argv: list[str] | None = None) -> int:
         description=(
             "Finite-volume solver for a viscous Burgers equation with an "
             "exponential relaxation memory term, plus its large-time "
-            "verification harness.  Config keys: " + ", ".join(_KNOWN_KEYS)
+            "verification harness.  Config keys: " + ", ".join(_FIELDS)
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True)

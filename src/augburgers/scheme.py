@@ -155,12 +155,18 @@ class StepReport:
 
 @dataclass
 class RunRecord:
-    """Snapshots, per-step reports and the complete parameter manifest of a run."""
+    """What a run produced: snapshots, per-step reports and two flags.
+
+    ``aborted`` is set when the state left the finite range; the last
+    snapshot is then the last good state.  ``boundary_warning`` is set when
+    a snapshot found the solution at the edge of the domain.  The parameters
+    of the run are the caller's; the CLI writes them to its manifest.
+    """
 
     snapshots: list[tuple[float, GridFunction]]
-    manifest: dict
     step_reports: list[StepReport] = field(default_factory=list)
     aborted: bool = False
+    boundary_warning: bool = False
 
 
 def rhs(
@@ -357,35 +363,6 @@ def march(
             yield dt, states
 
 
-def _base_manifest(
-    params: PhysicalParams,
-    config: SchemeConfig,
-    safety: float,
-    dt_max: float,
-    t_end: float,
-) -> dict:
-    quad = config.quadrature
-    return {
-        "nu": params.nu,
-        "c": params.c,
-        "theta": params.theta,
-        "dx": config.grid.dx,
-        "x_left": config.grid.x_left,
-        "x_right": config.grid.x_right,
-        "num_cells": config.grid.num_cells,
-        "flux": config.flux.value,
-        "corrector_mode": config.corrector_mode.value,
-        "n_terms": quad.n_terms,
-        "moment0": quad.moment0,
-        "moment1": quad.moment1,
-        "moment2": quad.moment2,
-        "stability_sum": quad.stability_sum,
-        "safety": safety,
-        "dt_max": dt_max,
-        "t_end": t_end,
-    }
-
-
 def _boundary_contact(u: GridFunction, u0_linf: float) -> bool:
     k = min(_BOUNDARY_CELLS, u.grid.num_cells // 2)
     edge = max(
@@ -426,13 +403,7 @@ def run(
     if t_end > 0.0 and (not snaps or snaps[-1] != t_end):
         snaps.append(t_end)
 
-    record = RunRecord(
-        snapshots=[(0.0, initial.copy())],
-        manifest=_base_manifest(params, config, safety, dt_max, t_end),
-        step_reports=[],
-    )
-    record.manifest["boundary_warning"] = False
-    record.manifest["aborted"] = False
+    record = RunRecord(snapshots=[(0.0, initial.copy())])
     u0_linf = norm(initial, math.inf)
 
     state = SolverState(0.0, initial)
@@ -444,9 +415,9 @@ def run(
                 record.step_reports.append(_norms_report(state.t, dt, state.u))
             while k < len(snaps) and state.t >= snaps[k]:
                 record.snapshots.append((snaps[k], state.u.copy()))
-                if (u0_linf > 0.0 and not record.manifest["boundary_warning"]
+                if (u0_linf > 0.0 and not record.boundary_warning
                         and _boundary_contact(state.u, u0_linf)):
-                    record.manifest["boundary_warning"] = True
+                    record.boundary_warning = True
                     warnings.warn(
                         f"solution reached the domain boundary by t = {snaps[k]!r}; "
                         "enlarge the domain for trustworthy long-time results",
@@ -456,7 +427,6 @@ def run(
                 k += 1
     except SolverAbort:
         record.aborted = True
-        record.manifest["aborted"] = True
         record.snapshots.append((state.t, state.u.copy()))
     return record
 

@@ -23,7 +23,7 @@ from augburgers.scheme import PhysicalParams, RunRecord
 
 
 def record_from_snapshots(snaps):
-    return RunRecord(snapshots=snaps, manifest={})
+    return RunRecord(snapshots=snaps)
 
 
 class TestScaledProfileError:

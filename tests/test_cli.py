@@ -1,10 +1,14 @@
+import argparse
 import json
 import math
 import os
+import string
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from augburgers import cli
 from augburgers.cli import ConfigError, ExperimentConfig, main, parse_config
@@ -20,6 +24,13 @@ def read_rows(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+QUADRATURE_KEYS = ("n_terms", "moment0", "moment1", "moment2", "stability_sum")
+
+
+def manifest_keys(path):
+    return {line.split(" = ", 1)[0] for line in read(path).splitlines()}
 
 
 # A deliberately small configuration so CLI runs finish in well under a
@@ -188,6 +199,30 @@ class TestRunCommand:
         assert rc == 2
         assert "nu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["--x-left=-inf"], "x_left"),
+            (["--x-right=inf"], "x_right"),
+            (["--x-left=-1e308", "--x-right=1e308"], "x_right - x_left"),
+            (["--theta", "inf"], "theta"),
+            (["--t-end", "1", "--snapshot-times", "nan"], "snapshot_times"),
+            (["--t-end", "1", "--snapshot-times", "1,inf"], "snapshot_times"),
+            (["--t-end", "inf"], "t_end"),
+            (["--nu", "inf"], "nu"),
+            (["--dt-max", "inf"], "dt_max"),
+            (["--initial-data", "gaussian:inf,1"], "initial_data"),
+        ],
+        ids=["x-left", "x-right", "span-overflow", "theta", "snapshot-nan",
+             "snapshot-inf", "t-end", "nu", "dt-max", "gaussian-mass"],
+    )
+    def test_non_finite_is_config_error(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "x"
+        assert main(["run", "--out", str(out), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "profile"])
     def test_snapshot_times_inside_horizon(self, tmp_path, capsys, command):
         # run and profile read snapshot_times, so they reject times past
@@ -213,6 +248,9 @@ class TestRatesCommand:
         assert {r[2] for r in rows} == {"1", "2", "inf"}
         assert all(float(r[3]) >= 0.0 and math.isfinite(float(r[3])) for r in rows)
         assert read(out1 / "rates.csv") == read(out2 / "rates.csv")
+        keys = manifest_keys(out1 / "manifest.txt")
+        assert keys.issuperset(QUADRATURE_KEYS)
+        assert not any(k.endswith("_n_terms") for k in keys)
 
     def test_no_warnings(self, tmp_path):
         # The t = 0 snapshot is left out of the profile comparison, so a
@@ -225,12 +263,14 @@ class TestRatesCommand:
 
     def test_ignores_snapshot_times(self, tmp_path):
         # rates compares on its own time grid, so the default snapshot times
-        # past a short t_end are not an error and change nothing.
+        # past a short t_end are not an error and change nothing, not even
+        # the manifest and its config hash.
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(["rates", "--t-end", "100", "--out", str(out1)]) == 0
         assert main(["rates", "--t-end", "100", "--snapshot-times", "100",
                      "--out", str(out2)]) == 0
-        assert read(out1 / "rates.csv") == read(out2 / "rates.csv")
+        for name in ("rates.csv", "manifest.txt"):
+            assert read(out1 / name) == read(out2 / name)
 
     def test_samples_the_wave_once_per_time(self, tmp_path, monkeypatch):
         from augburgers import analysis, profile
@@ -279,6 +319,7 @@ class TestNwaveCommand:
         assert abs(eo[4] - 0.15) <= 1e-8 and abs(mlf[4] - 0.15) <= 1e-8
         assert os.path.exists(out / "snapshots_eo.csv")
         assert os.path.exists(out / "snapshots_mlf.csv")
+        assert manifest_keys(out / "manifest.txt").issuperset(QUADRATURE_KEYS)
 
 
 class TestSelfconvCommand:
@@ -337,8 +378,8 @@ class TestProfileCommand:
         assert {float(r[0]) for r in rows} == {1.0, 10.0}
         total = 0.5 * sum(float(r[2]) for r in rows if float(r[0]) == 10.0)
         assert total == pytest.approx(0.15, abs=1e-3)
-        manifest = read(out / "manifest.txt")
-        assert "profile_viscosity" in manifest
+        keys = manifest_keys(out / "manifest.txt")
+        assert keys.issuperset(("profile_viscosity", *QUADRATURE_KEYS))
 
     def test_continuum_flag_changes_viscosity(self, tmp_path):
         args = [
@@ -389,8 +430,8 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--cases", "0"], ["--cases", "-3"], ["--seed", "-1"]],
-        ids=["cases-0", "cases-negative", "seed-negative"],
+        [["--cases", "0"], ["--cases", "-3"], ["--seed", "-1"], ["--seed", "abc"]],
+        ids=["cases-0", "cases-negative", "seed-negative", "seed-not-integer"],
     )
     def test_rejects_nonsense_counts_and_seeds(self, tmp_path, capsys, argv):
         rc = main(["check", "--out", str(tmp_path / "chk"), *argv])
@@ -479,6 +520,92 @@ class TestCheckCommand:
         rc = main(["check", "--replay", str(replay_path), "--out", str(out)])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+# A valid raw value, other than the default, for every config key.
+FLAG_VALUES = {
+    "nu": "0.5",
+    "c": "0.25",
+    "theta": "2",
+    "dx": "0.5",
+    "x_left": "-10",
+    "x_right": "10",
+    "flux": "mlf",
+    "corrector_mode": "naive",
+    "tail_tol": "1e-3",
+    "safety": "0.5",
+    "dt_max": "0.25",
+    "t_end": "7",
+    "snapshot_times": "1,2",
+    "initial_data": "gaussian:1,2",
+    "seed": "7",
+    "output_dir": "elsewhere",
+}
+
+
+@pytest.mark.parametrize("key", list(cli._FIELDS))
+def test_every_key_has_a_flag(key):
+    parser = argparse.ArgumentParser()
+    cli._add_common(parser)
+    raw = FLAG_VALUES[key]
+    cfg = cli._config_from_args(parser.parse_args([f"{cli._flag(key)}={raw}"]))
+    expected = getattr(parse_config(f"{key} = {raw}"), key)
+    assert getattr(cfg, key) == expected != getattr(ExperimentConfig(), key)
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _spec(head, values):
+    return head + ":" + ",".join(cli._render(v) for v in values)
+
+
+_INITIAL_SPECS = st.one_of(
+    st.just("sines"),
+    st.tuples(_finite(-1e3, 1e3), _finite(1e-3, 1e3)).map(lambda v: _spec("gaussian", v)),
+    st.tuples(
+        _finite(-1e3, 1e3),
+        _finite(-1e3, 1e3),
+        st.lists(_finite(-1e3, 1e3), min_size=4, max_size=4, unique=True).map(sorted),
+    ).map(lambda v: _spec("boxpair", (v[0], *v[2][:2], v[1], *v[2][2:]))),
+    st.text(string.ascii_letters + "/._-", min_size=1, max_size=12).map(
+        lambda path: "file:" + path
+    ),
+)
+
+
+@st.composite
+def valid_configs(draw):
+    nu, c = draw(_finite(0.0, 10.0)), draw(_finite(0.0, 10.0))
+    assume(nu + c > 0.0)
+    x_left, dx = draw(_finite(-1e3, 1e3)), draw(_finite(1e-3, 1e3))
+    return ExperimentConfig(
+        nu=nu,
+        c=c,
+        theta=draw(_finite(1e-6, 1e3)),
+        dx=dx,
+        x_left=x_left,
+        x_right=x_left + dx * draw(st.integers(2, 10**6)),
+        flux=draw(st.sampled_from(["eo", "mlf"])),
+        corrector_mode=draw(st.sampled_from(["corrected", "naive"])),
+        tail_tol=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        safety=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        dt_max=draw(_finite(1e-9, 1e9)),
+        t_end=draw(_finite(0.0, 1e9)),
+        snapshot_times=tuple(sorted(draw(st.lists(_finite(-1e9, 1e9), max_size=4)))),
+        initial_data=draw(_INITIAL_SPECS),
+        seed=draw(st.integers(0, 2**64)),
+        output_dir=draw(st.text(string.ascii_letters + string.digits + "/._-", max_size=12)),
+    )
+
+
+@given(valid_configs())
+@settings(max_examples=200, deadline=None)
+def test_config_items_parse_back(cfg):
+    # The manifest writes these lines, so a manifest reads back as a config.
+    text = "\n".join(f"{key} = {value}" for key, value in cfg.items())
+    assert parse_config(text) == cfg
 
 
 def test_config_items_render_roundtrip():

@@ -5,6 +5,7 @@ shared module-scoped fixtures; the full suite is a few minutes of desk time.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -60,19 +61,34 @@ def initial_datum():
     return project_initial(sine_bumps(), grid)
 
 
-@pytest.fixture(scope="module")
-def timed_main_run(initial_datum):
-    """The reference run and its wall time in seconds."""
-    _, _, params, config = reference_setup()
-    start = time.time()
-    record = scheme.run(
-        initial_datum,
+# The three long runs: flux, corrector mode, snapshot times, report_every.
+LONG_RUNS = {
+    "main_run": (FluxKind.ENGQUIST_OSHER, CorrectorMode.CORRECTED, None, 1),
+    "mlf_run": (FluxKind.MODIFIED_LAX_FRIEDRICHS, CorrectorMode.CORRECTED, [1e2, 1e4], 100),
+    "naive_run": (FluxKind.ENGQUIST_OSHER, CorrectorMode.NAIVE, [1e2, 1e4], 100),
+}
+
+
+def long_run(name, initial):
+    """Run one of :data:`LONG_RUNS` from ``initial`` to ``T_END``."""
+    flux, corrector, times, report_every = LONG_RUNS[name]
+    _, _, params, config = reference_setup(flux=flux, corrector=corrector)
+    return scheme.run(
+        initial,
         params,
         config,
         t_end=T_END,
-        snapshot_times=snapshot_grid(),
+        snapshot_times=snapshot_grid() if times is None else times,
         safety=SAFETY,
+        report_every=report_every,
     )
+
+
+@pytest.fixture(scope="module")
+def timed_main_run(initial_datum):
+    """The reference run and its wall time in seconds."""
+    start = time.time()
+    record = long_run("main_run", initial_datum)
     return record, time.time() - start
 
 
@@ -83,30 +99,27 @@ def main_run(timed_main_run):
 
 @pytest.fixture(scope="module")
 def mlf_run(initial_datum):
-    _, _, params, config = reference_setup(flux=FluxKind.MODIFIED_LAX_FRIEDRICHS)
-    return scheme.run(
-        initial_datum,
-        params,
-        config,
-        t_end=T_END,
-        snapshot_times=[1e2, 1e4],
-        safety=SAFETY,
-        report_every=100,
-    )
+    return long_run("mlf_run", initial_datum)
 
 
 @pytest.fixture(scope="module")
 def naive_run(initial_datum):
-    _, _, params, config = reference_setup(corrector=CorrectorMode.NAIVE)
-    return scheme.run(
-        initial_datum,
-        params,
-        config,
-        t_end=T_END,
-        snapshot_times=[1e2, 1e4],
-        safety=SAFETY,
-        report_every=100,
-    )
+    return long_run("naive_run", initial_datum)
+
+
+# Snapshots of the long runs at these times, written by
+# tests/reference/make_reference.py, one column per run and time.
+REFERENCE_FILE = os.path.join(os.path.dirname(__file__), "reference", "long_runs.txt")
+REFERENCE_TIMES = (1e2, 1e4)
+
+
+def reference_columns():
+    return [(name, t) for name in LONG_RUNS for t in REFERENCE_TIMES]
+
+
+def snapshot_at(record, t):
+    """The values of the snapshot a run landed on at time ``t``."""
+    return next(u.values for s, u in record.snapshots if s == t)
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +132,27 @@ def diffusive_wave(initial_datum):
 def scaled_errors(record, wave, p):
     series = analysis.scaled_profile_error(record, wave, p)
     return {round(t): v for t, v in zip(series.times, series.values)}
+
+
+def test_long_runs_match_reference(main_run, mlf_run, naive_run):
+    # Tolerance 1e-10 of each snapshot's sup norm: reassociating the sums of
+    # one step moves the t = 1e4 run by about 2e-13 of sup, while dropping
+    # the first-moment corrector (M1 = 0) moves its mass by 0.134 of 0.15.
+    records = {"main_run": main_run, "mlf_run": mlf_run, "naive_run": naive_run}
+    ref = np.loadtxt(REFERENCE_FILE)
+    worst = 0.0
+    zeros_ok = True
+    for col, (name, t) in enumerate(reference_columns()):
+        got, want = snapshot_at(records[name], t), ref[:, col]
+        worst = max(worst, float(np.abs(got - want).max() / np.abs(want).max()))
+        zeros_ok = zeros_ok and np.array_equal(got == 0.0, want == 0.0)
+    ok = worst <= 1e-10 and zeros_ok
+    report(
+        11,
+        "long runs match their committed snapshots at t = 100 and t = 1e4",
+        ok,
+        f"max |diff|/sup = {worst:.3e}, same zero cells = {zeros_ok}",
+    )
 
 
 def test_criterion_01_mass_conservation(timed_main_run):

@@ -599,12 +599,14 @@ def _setup_for_case(rng, tail_tol=1e-6, extra_margin=4):
 
 
 def _check_kernel_closed_forms(case) -> tuple[bool, str]:
+    # The closed-form moments against exactly rounded sums of the weights.
     dx, theta, n = case["dx"], case["theta"], case["n"]
     quad = kernel.build(dx, theta, n)
-    cf0 = kernel.closed_form_moment0(dx, theta, n)
-    cf1 = kernel.closed_form_moment1(dx, theta, n)
-    err0 = abs(quad.moment0 - cf0) / abs(cf0)
-    err1 = abs(quad.moment1 - cf1) / max(abs(cf1), 1e-300)
+    w = quad.weights(n)
+    sum0 = math.fsum(w.tolist())
+    sum1 = (dx / theta) * math.fsum((np.arange(1, n + 1) * w).tolist())
+    err0 = abs(quad.moment0 - sum0) / abs(sum0)
+    err1 = abs(quad.moment1 - sum1) / max(abs(sum1), 1e-300)
     ok = err0 <= 1e-13 and err1 <= 1e-13
     return ok, f"rel errors {err0:.3e}, {err1:.3e}"
 

@@ -106,12 +106,17 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Discretization choices: flux, kernel quadrature, corrector mode, grid."""
+    """Discretization choices: flux, kernel quadrature, corrector mode, grid.
+
+    ``weights`` holds the kernel weights the grid can read, the first
+    ``min(N, num_cells - 1)`` (at least one), built once here.
+    """
 
     flux: FluxKind
     quadrature: KernelQuadrature
     corrector_mode: CorrectorMode
     grid: Grid
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         qdx = self.quadrature.dx
@@ -120,6 +125,9 @@ class SchemeConfig:
             raise ValueError(
                 f"quadrature mesh size {qdx!r} does not match grid dx {gdx!r}"
             )
+        w = self.quadrature.weights(max(self.grid.num_cells - 1, 1))
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
     def corrector_factors(self) -> tuple[float, float]:
         if self.corrector_mode is CorrectorMode.CORRECTED:
@@ -213,7 +221,7 @@ def rhs(
         g = eo_flux(left, right)
 
     # Weights past the (m - 1)st never reach a cell of the window.
-    w = config.quadrature.weights[: max(m - 1, 1)]
+    w = config.weights[: max(m - 1, 1)]
     mem = params.c / (params.theta * params.theta)
     visc = params.nu / (dx * dx)
     drift = params.c * m1 / (params.theta * dx)

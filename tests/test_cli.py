@@ -2,7 +2,10 @@ import argparse
 import json
 import math
 import os
+import resource
 import string
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -88,6 +91,21 @@ class TestParseConfig:
     def test_domain_ordering(self):
         with pytest.raises(ConfigError, match="x_left"):
             parse_config("x_left = 2\nx_right = -2\n")
+
+
+def _capped_python(args, timeout=10.0):
+    """Run ``python *args`` on these sources, capped at 1.5 GiB of address
+    space and ``timeout`` seconds."""
+    import augburgers
+
+    cap = 1536 * 2**20
+    src = os.path.dirname(os.path.dirname(os.path.abspath(augburgers.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
 
 
 class TestRunCommand:
@@ -193,6 +211,32 @@ class TestRunCommand:
             ]
         )
         assert rc == 0
+
+    def test_large_theta_runs_in_bounded_memory(self, tmp_path):
+        # theta = 1e6 means N = 184,206,808 kernel terms; the grid reads 3199.
+        code = (
+            "import resource, sys\n"
+            "from augburgers.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "sys.exit(rc)\n"
+        )
+        res = _capped_python(
+            ["-c", code, "run", "--theta", "1e6", "--t-end", "1",
+             "--snapshot-times", "1", "--out", str(tmp_path / "x")],
+        )
+        assert res.returncode == 0, res.stderr
+        assert int(res.stdout.split()[-1]) < 100 * 1024  # KiB on Linux
+
+    def test_tiny_dx_fails_fast(self, tmp_path):
+        # dx = 1e-300 asks for 3.2e302 cells and 1.8e301 kernel terms.
+        res = _capped_python(
+            ["-m", "augburgers.cli", "run", "--dx", "1e-300", "--t-end", "1",
+             "--snapshot-times", "1", "--out", str(tmp_path / "x")],
+        )
+        assert res.returncode == 1
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         rc = main(["run", "--nu", "-3", "--out", str(tmp_path / "x")])
@@ -645,9 +689,6 @@ def test_runtime_never_imports_scipy(tmp_path):
     # The runtime needs NumPy only: in a fresh interpreter where every scipy
     # import raises, rates, profile and the full check suites exit 0 and no
     # scipy module is loaded.
-    import subprocess
-    import sys
-
     code = (
         "import sys\n"
         "class BlockScipy:\n"
@@ -666,14 +707,7 @@ def test_runtime_never_imports_scipy(tmp_path):
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "assert not loaded, loaded\n"
     )
-    import augburgers
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(augburgers.__file__)))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    res = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    res = _capped_python(["-c", code, str(tmp_path)], timeout=300)
     assert res.returncode == 0, res.stderr
 
 

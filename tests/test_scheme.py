@@ -164,7 +164,9 @@ class TestRhs:
                 return 0.5 * min(a, 0.0) ** 2 + 0.5 * max(b, 0.0) ** 2
             return 0.25 * (a * a + b * b) + dx / (4.0 * dt_ref) * (b - a)
 
-        w = quad.weights
+        # The weights written out: the kernel's integral over each cell.
+        h = dx / theta
+        w = [math.exp(-(m - 1) * h) * -math.expm1(-h) for m in range(1, n_terms + 1)]
         if corrector is CorrectorMode.CORRECTED:
             f0, f1 = quad.moment0, quad.moment1
         else:

@@ -65,17 +65,14 @@ def scaled_profile_error(
     record: RunRecord,
     profile: AsymptoticProfile,
     p: float,
-    profile_offset: float = 0.0,
     samples: Mapping[float, GridFunction] | None = None,
 ) -> RateSeries:
     """Rate-weighted distance between snapshots and the diffusive wave.
 
     Snapshots at t = 0 are skipped with a warning (the profile is singular
-    there).  The series depends only on cell values, times and dx, never on
-    the absolute grid position, provided the profile is recentered with the
-    same offset.  ``samples`` maps snapshot times to the wave already sampled
-    on the snapshot grid (offset applied), so callers comparing several runs
-    or norms sample each time once; times it lacks are sampled here.
+    there).  ``samples`` maps snapshot times to the wave already sampled on
+    the snapshot grid, so callers comparing several runs or norms sample
+    each time once; times it lacks are sampled here.
     """
     times = []
     values = []
@@ -87,7 +84,7 @@ def scaled_profile_error(
             continue
         prof = (samples or {}).get(t)
         if prof is None:
-            prof = sample_on_grid(profile, u.grid, t, x_offset=profile_offset)
+            prof = sample_on_grid(profile, u.grid, t)
         err = norm(GridFunction(u.grid, u.values - prof.values), p)
         times.append(t)
         values.append(t ** _rate_exponent(p) * err)
@@ -171,6 +168,9 @@ def self_convergence(
     dxs = [float(d) for d in dx_list]
     if len(dxs) < 2:
         raise ValueError("need at least two mesh sizes")
+    for d in dxs:
+        if not 0.0 < d < math.inf:
+            raise ValueError(f"mesh sizes must be positive and finite, got {d}")
     for a, b in zip(dxs, dxs[1:]):
         ratio = a / b
         if not (abs(ratio - 2.0) < 1e-9 or abs(ratio - 1.0) < 1e-9):

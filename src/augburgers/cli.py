@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import analysis, initial, kernel, profile, scheme
 from .flux import FluxKind
-from .grid import GridFunction, make_grid, mass, norm, project_initial
+from .grid import GridFunction, make_grid, mass, project_initial
 from .scheme import CorrectorMode, PhysicalParams, SchemeConfig, SolverAbort
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "main"]
@@ -487,17 +486,17 @@ def cmd_nwave(config: ExperimentConfig) -> int:
     return 1 if aborted else 0
 
 
-def cmd_selfconv(config: ExperimentConfig, dx_list: str, t_check: float) -> int:
+def cmd_selfconv(config: ExperimentConfig, dx_list: str, t_check: str) -> int:
     _, init = _parse_initial(config.initial_data)
     if isinstance(init, str):
         raise ConfigError(
             "selfconv needs a functional initial_data (file: data is bound to "
             "one grid)"
         )
-    try:
-        dxs = [float(p) for p in dx_list.split(",") if p.strip()]
-    except ValueError:
-        raise ConfigError(f"--dx-list {dx_list!r}: expected comma-separated numbers")
+    # Each mesh size obeys the rule of the dx key; the check time is positive.
+    parse_dx = _FIELDS["dx"].metadata["parse"]
+    dxs = [parse_dx("dx_list", p.strip()) for p in dx_list.split(",") if p.strip()]
+    t_check = _number(lo=0.0, lo_open=True)("t_check", t_check)
     params = PhysicalParams(nu=config.nu, c=config.c, theta=config.theta)
     results = analysis.self_convergence(
         params,
@@ -561,285 +560,48 @@ def cmd_profile(config: ExperimentConfig, continuum: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
-# property-check suites (seeded, replayable)
+# property checks (the suites live in augburgers.checks)
 
 
-def _random_interior_state(rng, n=160, dx=0.25, margin=60, amp=0.4):
-    grid = make_grid(0.0, n * dx, dx)
-    vals = np.zeros(n)
-    interior = n - 2 * margin
-    vals[margin : margin + interior] = amp * (2.0 * rng.random(interior) - 1.0)
-    return GridFunction(grid, vals)
-
-
-def _random_params(rng) -> PhysicalParams:
-    nu = float(rng.uniform(0.0, 0.05))
-    c = float(rng.uniform(0.0, 0.05))
-    if nu + c < 1e-3:
-        nu = 0.01
-    return PhysicalParams(nu=nu, c=c, theta=float(rng.uniform(0.5, 2.0)))
-
-
-def _setup_for_case(rng, tail_tol=1e-6, extra_margin=4):
-    # The memory term spreads support rightward roughly one kernel width per
-    # step, so exact-conservation checks need extra_margin > steps taken.
-    params = _random_params(rng)
-    dx = 0.25
-    n_terms = kernel.choose_n(dx, params.theta, tail_tol)
-    margin = n_terms + extra_margin
-    state = _random_interior_state(rng, margin=margin, n=2 * margin + 40)
-    quad = kernel.build(dx, params.theta, n_terms)
-    config = SchemeConfig(
-        flux=FluxKind.ENGQUIST_OSHER,
-        quadrature=quad,
-        corrector_mode=CorrectorMode.CORRECTED,
-        grid=state.grid,
-    )
-    return params, config, state
-
-
-def _check_kernel_closed_forms(case) -> tuple[bool, str]:
-    # The closed-form moments against exactly rounded sums of the weights.
-    dx, theta, n = case["dx"], case["theta"], case["n"]
-    quad = kernel.build(dx, theta, n)
-    w = quad.weights(n)
-    sum0 = math.fsum(w.tolist())
-    sum1 = (dx / theta) * math.fsum((np.arange(1, n + 1) * w).tolist())
-    err0 = abs(quad.moment0 - sum0) / abs(sum0)
-    err1 = abs(quad.moment1 - sum1) / max(abs(sum1), 1e-300)
-    ok = err0 <= 1e-13 and err1 <= 1e-13
-    return ok, f"rel errors {err0:.3e}, {err1:.3e}"
-
-
-def _gen_kernel_closed_forms(rng, count):
-    for _ in range(count):
-        yield {
-            "dx": float(rng.uniform(1e-3, 1.0)),
-            "theta": float(rng.uniform(0.1, 5.0)),
-            "n": int(rng.integers(1, 400)),
-        }
-
-
-def _check_mass_conservation(case) -> tuple[bool, str]:
-    rng = np.random.default_rng(case["case_seed"])
-    params, config, state0 = _setup_for_case(rng, tail_tol=1e-10, extra_margin=30)
-    m0 = mass(state0)
-    dx = config.grid.dx
-    worst = 0.0
-    for _, (st,) in itertools.islice(scheme.march([state0], params, config), 25):
-        worst = max(worst, abs(dx * float(np.sum(st.u.values)) - m0))
-    ok = worst <= 1e-12 * max(1.0, abs(m0))
-    return ok, f"max drift {worst:.3e}"
-
-
-def _check_l1_contraction(case) -> tuple[bool, str]:
-    rng = np.random.default_rng(case["case_seed"])
-    params, config, u = _setup_for_case(rng)
-    v = GridFunction(u.grid, u.values * float(rng.uniform(0.2, 0.9)))
-    dist = norm(GridFunction(u.grid, u.values - v.values), 1)
-    ok = True
-    worst = 0.0
-    for _, (su, sv) in itertools.islice(scheme.march([u, v], params, config), 25):
-        new = norm(GridFunction(u.grid, su.u.values - sv.u.values), 1)
-        if new > dist + 1e-12:
-            ok = False
-        worst = max(worst, new - dist)
-        dist = new
-    return ok, f"max per-step growth {worst:.3e}"
-
-
-def _check_lp_monotone(case) -> tuple[bool, str]:
-    rng = np.random.default_rng(case["case_seed"])
-    params, config, state0 = _setup_for_case(rng)
-    dx = config.grid.dx
-    prev = (norm(state0, 1), norm(state0, 2), norm(state0, math.inf))
-    ok = True
-    for _, (st,) in itertools.islice(scheme.march([state0], params, config), 25):
-        av = np.abs(st.u.values)
-        cur = (
-            dx * float(np.sum(av)),
-            math.sqrt(dx * float(np.sum(av * av))),
-            float(av.max(initial=0.0)),
-        )
-        if any(c > p + 1e-12 for c, p in zip(cur, prev)):
-            ok = False
-        prev = cur
-    return ok, "L1/L2/Linf nonincreasing" if ok else "norm increased"
-
-
-def _check_order_preservation(case) -> tuple[bool, str]:
-    rng = np.random.default_rng(case["case_seed"])
-    params, config, u = _setup_for_case(rng)
-    bump = np.zeros_like(u.values)
-    k = u.grid.num_cells // 2
-    bump[k - 20 : k + 20] = 0.2 * rng.random(40)
-    v = GridFunction(u.grid, u.values + bump)
-    worst = 0.0
-    for _, (su, sv) in itertools.islice(scheme.march([u, v], params, config), 25):
-        worst = max(worst, float((su.u.values - sv.u.values).max(initial=0.0)))
-    ok = worst <= 1e-12
-    return ok, f"max ordering violation {worst:.3e}"
-
-
-def _gen_seeded(rng, count):
-    for _ in range(count):
-        yield {"case_seed": int(rng.integers(0, 2**63 - 1))}
-
-
-def _check_gns(case) -> tuple[bool, str]:
-    rng = np.random.default_rng(case["case_seed"])
-    n = int(rng.integers(3, 201))
-    dx = float(rng.uniform(0.01, 1.0))
-    vals = 2.0 * rng.random(n) - 1.0
-    if not np.any(vals):
-        vals[0] = 0.5
-    w = GridFunction(make_grid(0.0, n * dx, dx), vals)
-    res = analysis.gns_inequality_check(w, case["p"])
-    return res.holds, f"lhs {res.lhs:.3e} vs rhs {res.rhs:.3e}"
-
-
-def _gen_gns(rng, count):
-    for _ in range(count):
-        yield {
-            "case_seed": int(rng.integers(0, 2**63 - 1)),
-            "p": float(rng.choice([2.0, 3.0, 4.0])),
-        }
-
-
-def _check_series(case) -> tuple[bool, str]:
-    res = analysis.series_lemma_check(case["a"], case["phi"], case["n"])
-    return res.holds, f"lhs {res.lhs:.3e} vs rhs {res.rhs:.3e}"
-
-
-def _gen_series(rng, count):
-    for _ in range(count):
-        yield {
-            "a": float(rng.uniform(0.01, 0.99)),
-            "phi": float(rng.uniform(-math.pi, math.pi)),
-            "n": int(rng.integers(1, 101)),
-        }
-
-
-def _check_profile_mass(case) -> tuple[bool, str]:
-    wave = profile.AsymptoticProfile(mass=case["mass"], viscosity=case["viscosity"])
-    t = case["t"]
-    width = math.sqrt(2.0 * wave.viscosity * t)
-    lim = 40.0 * width + 30.0
-    val = analysis.profile_integral(wave, t, lim)
-    if val is None:
-        return False, "mass quadrature did not converge"
-    err = abs(val - wave.mass)
-    return err <= 1e-6, f"mass error {err:.3e}"
-
-
-def _gen_profile_mass(rng, count):
-    for _ in range(count):
-        m = float(rng.uniform(-2.0, 2.0))
-        if abs(m) < 0.05:
-            m = 0.5
-        yield {
-            "mass": m,
-            "viscosity": float(rng.uniform(0.01, 3.0)),
-            "t": float(rng.uniform(0.5, 10.0)),
-        }
-
-
-def _check_profile_residual(case) -> tuple[bool, str]:
-    wave = profile.AsymptoticProfile(mass=case["mass"], viscosity=case["viscosity"])
-    t, x = case["t"], case["x"]
-    # The ladder must lie in the O(h^2) regime: at h = 0.2 the residual of
-    # some waves has not yet reached it.
-    rs = [abs(analysis.pde_residual(wave, t, x, h)) for h in (0.05, 0.025, 0.0125)]
-    if rs[1] < 1e-13 or rs[2] < 1e-13:
-        return True, "residual at roundoff floor"
-    orders = [math.log2(rs[0] / rs[1]), math.log2(rs[1] / rs[2])]
-    ok = min(orders) >= 1.8
-    return ok, f"observed orders {orders[0]:.2f}, {orders[1]:.2f}"
-
-
-def _gen_profile_residual(rng, count):
-    for _ in range(count):
-        m = float(rng.uniform(0.5, 2.0)) * float(rng.choice([-1.0, 1.0]))
-        yield {
-            "mass": m,
-            "viscosity": float(rng.uniform(0.5, 2.0)),
-            "t": float(rng.uniform(1.0, 4.0)),
-            "x": float(rng.uniform(-2.0, 2.0)),
-        }
-
-
-_SUITES = {
-    "kernel_closed_forms": (_gen_kernel_closed_forms, _check_kernel_closed_forms, 200),
-    "mass_conservation": (_gen_seeded, _check_mass_conservation, 40),
-    "l1_contraction": (_gen_seeded, _check_l1_contraction, 40),
-    "lp_monotone": (_gen_seeded, _check_lp_monotone, 40),
-    "order_preservation": (_gen_seeded, _check_order_preservation, 40),
-    "gns_inequality": (_gen_gns, _check_gns, 300),
-    "series_bound": (_gen_series, _check_series, 300),
-    "profile_mass": (_gen_profile_mass, _check_profile_mass, 20),
-    "profile_residual": (_gen_profile_residual, _check_profile_residual, 10),
-}
-
-# Closed range of each case value that ``check --replay`` accepts: the range
-# the suite's generator draws from (floats uniform on [lo, hi), integers on
-# [lo, hi]), so a replayed case allocates and costs what a generated one does.
-_SEED_RANGE = {"case_seed": (0, 2**63 - 2)}
-_CASE_RANGES = {
-    "kernel_closed_forms": {"dx": (1e-3, 1.0), "theta": (0.1, 5.0), "n": (1, 399)},
-    "mass_conservation": _SEED_RANGE,
-    "l1_contraction": _SEED_RANGE,
-    "lp_monotone": _SEED_RANGE,
-    "order_preservation": _SEED_RANGE,
-    "gns_inequality": {**_SEED_RANGE, "p": (2.0, 4.0)},
-    "series_bound": {"a": (0.01, 0.99), "phi": (-math.pi, math.pi), "n": (1, 100)},
-    "profile_mass": {"mass": (-2.0, 2.0), "viscosity": (0.01, 3.0), "t": (0.5, 10.0)},
-    "profile_residual": {
-        "mass": (-2.0, 2.0),
-        "viscosity": (0.5, 2.0),
-        "t": (1.0, 4.0),
-        "x": (-2.0, 2.0),
-    },
-}
-
-
-def _load_replay(path: str) -> tuple[str, dict]:
+def _load_replay(path: str, suites: dict) -> tuple[str, dict]:
     """Read a ``{"suite": ..., "case": {...}}`` file whose case has every key
-    that the suite's generator emits, with a value of the same type (an
-    integer may stand for a float) inside the range of ``_CASE_RANGES``."""
+    of the suite's ``ranges``, each inside its closed range and of the type
+    of its bounds (an int may stand for a float)."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         payload = {}
     suite, case = payload.get("suite"), payload.get("case")
-    if not (isinstance(suite, str) and suite in _SUITES and isinstance(case, dict)):
+    if not (isinstance(suite, str) and suite in suites and isinstance(case, dict)):
         raise ConfigError(
             f"replay file {path!r}: expected an object with a 'suite' among "
-            + ", ".join(_SUITES) + " and a 'case' object"
+            + ", ".join(suites) + " and a 'case' object"
         )
-    ranges = _CASE_RANGES.get(suite, {})
-    for key, like in next(_SUITES[suite][0](np.random.default_rng(0), 1)).items():
+    for key, (lo, hi) in suites[suite][3].items():
         val = case.get(key)
-        kind = (float, int) if isinstance(like, float) else int
-        if isinstance(val, bool) or not isinstance(val, kind):
+        if isinstance(val, bool) or not isinstance(val, (int, type(lo))):
             raise ConfigError(
                 f"replay file {path!r}: case key {key!r} = {val!r} "
-                f"is not of type {type(like).__name__}"
+                f"is not of type {type(lo).__name__}"
             )
-        if key in ranges and not ranges[key][0] <= val <= ranges[key][1]:
+        if not lo <= val <= hi:
             raise ConfigError(
                 f"replay file {path!r}: case key {key!r} = {val!r} lies outside "
-                f"[{ranges[key][0]!r}, {ranges[key][1]!r}], the range its suite draws from"
+                f"[{lo!r}, {hi!r}], the range its suite draws from"
             )
     return suite, case
 
 
 def cmd_check(config: ExperimentConfig, replay: str | None, cases: int | None) -> int:
+    # Imported here so that the other commands never compile the suites.
+    from . import checks
+
     if cases is not None and cases < 1:
         raise ConfigError(f"--cases {cases}: must be >= 1")
     os.makedirs(config.output_dir, exist_ok=True)
     if replay is not None:
-        suite, case = _load_replay(replay)
-        ok, detail = _SUITES[suite][1](case)
+        suite, case = _load_replay(replay, checks.SUITES)
+        ok, detail = checks.SUITES[suite][1](case)
         status = "pass" if ok else "FAIL"
         print(f"replay {suite}: {status} ({detail})")
         print(f"case: {json.dumps(case, sort_keys=True)}")
@@ -848,15 +610,11 @@ def cmd_check(config: ExperimentConfig, replay: str | None, cases: int | None) -
     rng = np.random.default_rng(config.seed)
     failures = []
     print(f"{'suite':<22} {'cases':>6} {'failures':>9}")
-    for name, (gen, check, default_count) in _SUITES.items():
+    for name, (_, _, default_count, _) in checks.SUITES.items():
         count = cases if cases is not None else default_count
-        n_fail = 0
-        for case in gen(rng, count):
-            ok, detail = check(case)
-            if not ok:
-                n_fail += 1
-                failures.append({"suite": name, "case": case, "detail": detail})
-        print(f"{name:<22} {count:>6} {n_fail:>9}")
+        found = checks.run_suite(name, rng, count)
+        failures += found
+        print(f"{name:<22} {count:>6} {len(found):>9}")
     if failures:
         replay_path = os.path.join(config.output_dir, "replay.json")
         with open(replay_path, "w", encoding="utf-8") as fh:
@@ -912,7 +670,7 @@ def main(argv: list[str] | None = None) -> int:
         "selfconv", help="L1 self-convergence across nested meshes"
     )
     p_selfconv.add_argument("--dx-list", default="0.2,0.1,0.05")
-    p_selfconv.add_argument("--t-check", type=float, default=1.0)
+    p_selfconv.add_argument("--t-check", default="1")
     p_profile = subs.add_parser("profile", help="sample the asymptotic profile")
     p_profile.add_argument(
         "--continuum",

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["FluxKind", "eo_flux", "mlf_flux", "r_form"]
+__all__ = ["FluxKind", "eo_flux", "mlf_flux"]
 
 
 class FluxKind(Enum):
@@ -41,16 +41,3 @@ def mlf_flux(a, b, dx: float, dt_ref: float):
     if not dt_ref > 0.0:
         raise ValueError(f"dt_ref must be positive, got {dt_ref}")
     return (a * a + b * b) * 0.25 + (dx / (4.0 * dt_ref)) * (b - a)
-
-
-def r_form(u, v, dx: float):
-    """Viscosity form ``R(u, v) = (v|v| - u|u|)/(4 dx)``.
-
-    Satisfies the exact identity
-    ``eo_flux(a, b) = (a^2 + b^2)/4 + dx * r_form(a, b, dx)``,
-    which rewrites the Engquist-Osher scheme as a central flux plus an
-    upwinding correction; used by diagnostics only.
-    """
-    if not dx > 0.0:
-        raise ValueError(f"dx must be positive, got {dx}")
-    return (v * np.abs(v) - u * np.abs(u)) / (4.0 * dx)

@@ -27,7 +27,6 @@ __all__ = [
     "make_grid",
     "project_initial",
     "d_plus",
-    "d_minus",
     "norm",
     "mass",
     "zero_pad",
@@ -160,13 +159,6 @@ class PiecewiseInitial:
                 out[sel] = f(x[sel])
         return out
 
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        pts: list[float] = []
-        for a, b, _ in self.pieces:
-            pts.extend((a, b))
-        return tuple(sorted(set(pts)))
-
 
 def _simpson_weights(n_sub: int) -> np.ndarray:
     w = np.ones(n_sub + 1)
@@ -240,11 +232,6 @@ def project_initial(f, grid: Grid) -> GridFunction:
 def d_plus(w: GridFunction) -> GridFunction:
     """Forward difference (w_{j+1} - w_j)/dx with zero extension on the right."""
     return GridFunction(w.grid, np.diff(w.values, append=0.0) / w.grid.dx)
-
-
-def d_minus(w: GridFunction) -> GridFunction:
-    """Backward difference (w_j - w_{j-1})/dx with zero extension on the left."""
-    return GridFunction(w.grid, np.diff(w.values, prepend=0.0) / w.grid.dx)
 
 
 def _validate_p(p: float) -> float:

@@ -201,17 +201,13 @@ def eval(profile: AsymptoticProfile, t: float, x):
     )
 
 
-def sample_on_grid(
-    profile: AsymptoticProfile, grid: Grid, t: float, x_offset: float = 0.0
-) -> GridFunction:
-    """Point values of the profile at cell centers (optionally recentered).
+def sample_on_grid(profile: AsymptoticProfile, grid: Grid, t: float) -> GridFunction:
+    """Point values of the profile at cell centers.
 
     Midpoint sampling, not cell averaging: the comparison norms against
     piecewise-constant solver output converge identically as dx -> 0.
-    ``x_offset`` translates the profile, i.e. cells sample
-    ``profile(t, x_center - x_offset)``.
     """
-    return GridFunction(grid, eval(profile, t, grid.cell_centers - x_offset))
+    return GridFunction(grid, eval(profile, t, grid.cell_centers))
 
 
 def effective_viscosity(nu: float, c: float, moment2: float | None = None) -> float:

@@ -53,7 +53,6 @@ __all__ = [
     "step_euler",
     "march",
     "run",
-    "rescale",
 ]
 
 # Cap on the adaptive step so a decayed solution does not take huge steps.
@@ -177,6 +176,16 @@ class RunRecord:
     boundary_warning: bool = False
 
 
+def _check_theta(params: PhysicalParams, config: SchemeConfig) -> None:
+    # The prefactors c/theta and c/theta^2 use params.theta; the weights and
+    # moments are those of the quadrature's theta.
+    if params.theta != config.quadrature.theta:
+        raise ValueError(
+            f"theta = {params.theta!r} does not match the kernel quadrature's "
+            f"theta = {config.quadrature.theta!r}"
+        )
+
+
 def rhs(
     state: SolverState,
     params: PhysicalParams,
@@ -199,6 +208,7 @@ def rhs(
     """
     if state.u.grid is not config.grid and state.u.grid != config.grid:
         raise ValueError("state grid does not match scheme configuration grid")
+    _check_theta(params, config)
     u = state.u.values
     n = u.shape[0]
     dx = config.grid.dx
@@ -245,6 +255,7 @@ def rhs(
 
 
 def _dt_denominator(u_values: np.ndarray, params: PhysicalParams, config: SchemeConfig) -> float:
+    _check_theta(params, config)
     dx = config.grid.dx
     umax = float(np.abs(u_values).max(initial=0.0))
     return (
@@ -437,21 +448,3 @@ def run(
         record.aborted = True
         record.snapshots.append((state.t, state.u.copy()))
     return record
-
-
-def rescale(w: GridFunction, mu: float) -> GridFunction:
-    """Parabolic rescaling: values scaled by ``mu`` on a grid shrunk by ``mu``.
-
-    Represents ``mu * u(mu^2 t, mu x)``: mass is preserved and the L^p norm
-    scales by ``mu^(1 - 1/p)``.
-    """
-    if not mu > 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    g = w.grid
-    new_grid = Grid(
-        x_left=g.x_left / mu,
-        x_right=g.x_right / mu,
-        dx=g.dx / mu,
-        num_cells=g.num_cells,
-    )
-    return GridFunction(new_grid, mu * w.values)

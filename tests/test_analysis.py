@@ -47,21 +47,6 @@ class TestScaledProfileError:
             series = scaled_profile_error(record_from_snapshots(snaps), self.wave, 1.0)
         assert list(series.times) == [1.0]
 
-    def test_invariant_under_joint_translation(self):
-        # Pure function of values, times and dx: shifting the window and the
-        # profile center together changes nothing.
-        rng = np.random.default_rng(2)
-        vals = rng.random(self.grid.num_cells)
-        snaps = [(2.0, GridFunction(self.grid, vals))]
-        shifted_grid = make_grid(-10.0, 30.0, 0.1)
-        shifted_snaps = [(2.0, GridFunction(shifted_grid, vals))]
-        for p in (1.0, 2.0, math.inf):
-            a = scaled_profile_error(record_from_snapshots(snaps), self.wave, p)
-            b = scaled_profile_error(
-                record_from_snapshots(shifted_snaps), self.wave, p, profile_offset=10.0
-            )
-            np.testing.assert_array_equal(a.values, b.values)
-
     def test_rate_exponents(self):
         u = GridFunction(self.grid, np.zeros(self.grid.num_cells))
         t = 16.0
@@ -173,6 +158,14 @@ class TestSelfConvergence:
             self.PARAMS, sine_bumps(), -20.0, 20.0, [0.2, 0.2], t_check=0.5
         )
         assert out[0][1] == 0.0
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_nonpositive_mesh_size(self, bad):
+        # Rejected before any ratio between mesh sizes is taken.
+        with pytest.raises(ValueError, match="positive and finite"):
+            self_convergence(
+                self.PARAMS, sine_bumps(), -20.0, 20.0, [0.2, bad], t_check=0.5
+            )
 
     def test_rejects_non_halving(self):
         with pytest.raises(ValueError, match="halve"):

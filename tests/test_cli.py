@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from augburgers import cli
+from augburgers import checks, cli
 from augburgers.cli import ConfigError, ExperimentConfig, main, parse_config
 
 
@@ -322,9 +322,9 @@ class TestRatesCommand:
         calls = []
         real = profile.sample_on_grid
 
-        def counted(wave, grid, t, x_offset=0.0):
+        def counted(wave, grid, t):
             calls.append(t)
-            return real(wave, grid, t, x_offset)
+            return real(wave, grid, t)
 
         monkeypatch.setattr(profile, "sample_on_grid", counted)
         monkeypatch.setattr(analysis, "sample_on_grid", counted)
@@ -395,6 +395,25 @@ class TestSelfconvCommand:
             ["selfconv", "--initial-data", "file:whatever.txt", "--out", str(tmp_path)]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["--dx-list", "0.2,0"], "dx_list"),
+            (["--t-check", "nan"], "t_check"),
+            (["--t-check", "-1"], "t_check"),
+            (["--t-check", "inf"], "t_check"),
+        ],
+        ids=["dx-zero", "t-check-nan", "t-check-negative", "t-check-inf"],
+    )
+    def test_bad_mesh_size_or_check_time_is_config_error(self, tmp_path, capsys, argv, key):
+        # Both flags go through config parse rules, so a bad value fails
+        # before any run, with exit 2 and no output directory.
+        rc = main(["selfconv", *argv, "--out", str(tmp_path / "s")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "config error" in captured.err and key in captured.err
+        assert not (tmp_path / "s").exists()
 
 
 class TestProfileCommand:
@@ -532,28 +551,31 @@ class TestCheckCommand:
         assert captured.out == ""
 
     def test_replay_ranges_cover_generated_cases(self):
-        from augburgers import cli as cli_mod
-
         rng = np.random.default_rng(3)
-        for name, (gen, _, _) in cli_mod._SUITES.items():
-            ranges = cli_mod._CASE_RANGES[name]
-            for case in gen(rng, 200):
+        for name, (generate, _, _, ranges) in checks.SUITES.items():
+            for _ in range(200):
+                case = generate(rng, ranges)
                 assert set(case) == set(ranges), name
                 for key, val in case.items():
                     lo, hi = ranges[key]
+                    assert type(val) is type(lo) is type(hi), (name, key)
                     assert lo <= val <= hi, (name, key, val)
 
-    def test_failure_serializes_replay_case(self, tmp_path, capsys, monkeypatch):
-        from augburgers import cli as cli_mod
+    def test_run_suite_passes_every_suite(self):
+        rng = np.random.default_rng(0)
+        for name in checks.SUITES:
+            assert checks.run_suite(name, rng, 3) == [], name
 
-        def gen(rng, count):
-            yield {"value": 42}
+    def test_failure_serializes_replay_case(self, tmp_path, capsys, monkeypatch):
+        def generate(rng, ranges):
+            return {"value": 42}
 
         def check(case):
             return case["value"] != 42, "forced failure"
 
         monkeypatch.setattr(
-            cli_mod, "_SUITES", {"forced": (gen, check, 1)}, raising=True
+            checks, "SUITES", {"forced": (generate, check, 1, {"value": (0, 99)})},
+            raising=True,
         )
         out = tmp_path / "chk"
         rc = main(["check", "--out", str(out)])
@@ -711,6 +733,42 @@ def test_runtime_never_imports_scipy(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run"],
+        ["rates", "--t-end", "1", "--snapshot-times", "1"],
+        ["nwave"],
+        ["selfconv", "--dx-list", "0.5,0.25", "--t-check", "1"],
+        ["profile"],
+        ["check", "--cases", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_only_check_imports_the_suites(tmp_path, argv):
+    # Each command runs in a fresh interpreter; only check may load (and so
+    # compile) augburgers.checks.
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMALL)
+    code = (
+        "import sys\n"
+        "from augburgers.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print('augburgers.checks' in sys.modules)\n"
+    )
+    res = _capped_python(
+        ["-c", code, *argv, "--config", str(cfg), "--out", str(tmp_path / "o")],
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == str(argv[0] == "check")
+
+
+def _drawn_cases(name, rng, count):
+    generate, _, _, ranges = checks.SUITES[name]
+    return [generate(rng, ranges) for _ in range(count)]
+
+
 def _corner_cases():
     return [
         {"mass": m, "viscosity": a, "t": t}
@@ -736,7 +794,7 @@ class TestProfileMassQuadrature:
     @pytest.mark.parametrize(
         "case",
         _corner_cases()
-        + list(cli._gen_profile_mass(np.random.default_rng(11), 50)),
+        + _drawn_cases("profile_mass", np.random.default_rng(11), 50),
     )
     def test_matches_quad(self, case):
         from augburgers import analysis, profile
@@ -747,7 +805,7 @@ class TestProfileMassQuadrature:
         val = analysis.profile_integral(wave, t, lim)
         assert val is not None
         assert abs(val - self.quad_oracle(wave, t, lim)) <= 1e-9
-        ok, message = cli._check_profile_mass(case)
+        ok, message = checks._check_profile_mass(case)
         assert ok, message
 
     @pytest.mark.parametrize(
@@ -764,6 +822,6 @@ class TestProfileMassQuadrature:
         from augburgers import profile
 
         monkeypatch.setattr(profile, "eval", fake_eval)
-        ok, message = cli._check_profile_mass({"mass": 1.0, "viscosity": 1.0, "t": 1.0})
+        ok, message = checks._check_profile_mass({"mass": 1.0, "viscosity": 1.0, "t": 1.0})
         assert not ok
         assert "did not converge" in message

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from augburgers.flux import FluxKind, eo_flux, mlf_flux, r_form
+from augburgers.flux import FluxKind, eo_flux, mlf_flux
 
 u_vals = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -54,19 +54,13 @@ class TestModifiedLaxFriedrichs:
 
 
 class TestViscosityForm:
-    def test_zero_on_diagonal(self):
-        assert r_form(0.7, 0.7, 0.5) == 0.0
-
-    def test_hand_value(self):
-        assert r_form(0.0, 2.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-
     def test_rewrites_engquist_osher(self):
-        # Exact identity: eo(a, b) = (a^2 + b^2)/4 + dx * R(a, b).
+        # Exact identity: eo(a, b) = (a^2 + b^2)/4 + (b|b| - a|a|)/4, a
+        # central flux plus an upwinding correction.
         rng = np.random.default_rng(11)
-        dx = 0.3
         for a, b in rng.uniform(-5.0, 5.0, size=(100, 2)):
             lhs = eo_flux(a, b)
-            rhs = (a * a + b * b) * 0.25 + dx * r_form(a, b, dx)
+            rhs = (a * a + b * b) * 0.25 + (b * abs(b) - a * abs(a)) / 4.0
             assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-14)
 
 

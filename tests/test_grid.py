@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from augburgers.grid import (
     Grid,
     GridFunction,
-    d_minus,
     d_plus,
     make_grid,
     mass,
@@ -22,6 +21,11 @@ from augburgers.initial import sine_bumps
 def gf(values, dx=1.0):
     values = np.asarray(values, dtype=float)
     return GridFunction(make_grid(0.0, len(values) * dx, dx), values)
+
+
+def d_minus(w):
+    """Backward difference (w_j - w_{j-1})/dx with zero extension on the left."""
+    return GridFunction(w.grid, np.diff(w.values, prepend=0.0) / w.grid.dx)
 
 
 finite_arrays = st.lists(

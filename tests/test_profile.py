@@ -292,14 +292,6 @@ class TestSampling:
         for dx in (0.1, 0.05):
             assert sample_err(dx) <= 1e-10
 
-    def test_offset_translates_samples(self):
-        wave = AsymptoticProfile(mass=1.0, viscosity=1.0)
-        g = make_grid(-4.0, 4.0, 0.5)
-        g_shift = make_grid(-2.0, 6.0, 0.5)
-        plain = sample_on_grid(wave, g, 1.0)
-        shifted = sample_on_grid(wave, g_shift, 1.0, x_offset=2.0)
-        np.testing.assert_allclose(shifted.values, plain.values, rtol=0, atol=0)
-
 
 class TestEffectiveViscosity:
     def test_discrete_and_continuum(self):

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from augburgers.flux import FluxKind, eo_flux
-from augburgers.grid import GridFunction, make_grid, mass, norm
+from augburgers.grid import Grid, GridFunction, make_grid, mass, norm
 from augburgers.kernel import build, choose_n
 from augburgers.scheme import (
     _norms_report,
@@ -18,7 +18,6 @@ from augburgers.scheme import (
     SolverState,
     StabilityError,
     march,
-    rescale,
     rhs,
     run,
     stable_dt,
@@ -71,6 +70,21 @@ class TestParams:
                 corrector_mode=CorrectorMode.CORRECTED,
                 grid=grid,
             )
+
+    @pytest.mark.parametrize("call", ["rhs", "stable_dt", "march"])
+    def test_mismatched_theta_rejected(self, call):
+        # The prefactors c/theta, c/theta^2 use params.theta, the weights and
+        # moments the quadrature's theta: the two must agree.
+        grid, _, config = make_setup(theta=1.0)
+        params = PhysicalParams(nu=1e-2, c=2e-2, theta=2.0)
+        state = interior_state(grid, np.random.default_rng(16), 10)
+        calls = {
+            "rhs": lambda: rhs(state, params, config),
+            "stable_dt": lambda: stable_dt(state, params, config, safety=0.9),
+            "march": lambda: next(march([state.u], params, config)),
+        }
+        with pytest.raises(ValueError, match="theta"):
+            calls[call]()
 
 
 class TestRhs:
@@ -612,19 +626,25 @@ class TestLockstep:
 
 
 class TestRescale:
-    def test_identity_at_unit_scale(self):
-        grid = make_grid(-2.0, 2.0, 0.5)
-        w = GridFunction(grid, np.arange(8, dtype=float))
-        same = rescale(w, 1.0)
-        assert same.grid == grid
-        np.testing.assert_array_equal(same.values, w.values)
+    """Parabolic rescaling ``mu * u(mu^2 t, mu x)``: values scaled by ``mu``
+    on a grid shrunk by ``mu``.  ``mass`` keeps its value and ``norm``
+    scales by ``mu^(1 - 1/p)``."""
+
+    @staticmethod
+    def rescale(w, mu):
+        g = w.grid
+        grid = Grid(
+            x_left=g.x_left / mu, x_right=g.x_right / mu, dx=g.dx / mu,
+            num_cells=g.num_cells,
+        )
+        return GridFunction(grid, mu * w.values)
 
     @pytest.mark.parametrize("mu", [0.3, 2.0, 17.5])
     def test_mass_preserved(self, mu):
         rng = np.random.default_rng(14)
         grid = make_grid(-4.0, 4.0, 0.25)
         w = GridFunction(grid, rng.uniform(-1.0, 1.0, grid.num_cells))
-        assert mass(rescale(w, mu)) == pytest.approx(mass(w), rel=1e-12, abs=1e-15)
+        assert mass(self.rescale(w, mu)) == pytest.approx(mass(w), rel=1e-12, abs=1e-15)
 
     @pytest.mark.parametrize("mu", [0.5, 3.0])
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, math.inf])
@@ -633,6 +653,6 @@ class TestRescale:
         grid = make_grid(-4.0, 4.0, 0.25)
         w = GridFunction(grid, rng.uniform(-1.0, 1.0, grid.num_cells))
         expo = 1.0 - (0.0 if math.isinf(p) else 1.0 / p)
-        assert norm(rescale(w, mu), p) == pytest.approx(
+        assert norm(self.rescale(w, mu), p) == pytest.approx(
             mu**expo * norm(w, p), rel=1e-12
         )

@@ -31,6 +31,7 @@ __all__ = [
     "decay_monitor",
     "grad_decay_monitor",
     "restrict_pairwise",
+    "check_nested",
     "self_convergence",
     "n_wave_diagnostic",
     "gns_inequality_check",
@@ -142,6 +143,22 @@ def restrict_pairwise(w: GridFunction, coarse: Grid) -> GridFunction:
     return GridFunction(coarse, 0.5 * (paired[:, 0] + paired[:, 1]))
 
 
+def check_nested(dxs: Sequence[float]) -> None:
+    """Raise ``ValueError`` unless ``dxs`` holds at least two positive finite
+    mesh sizes, each equal to or half of the previous one."""
+    if len(dxs) < 2:
+        raise ValueError("need at least two mesh sizes")
+    for d in dxs:
+        if not 0.0 < d < math.inf:
+            raise ValueError(f"mesh sizes must be positive and finite, got {d}")
+    for a, b in zip(dxs, dxs[1:]):
+        ratio = a / b
+        if not (abs(ratio - 2.0) < 1e-9 or abs(ratio - 1.0) < 1e-9):
+            raise ValueError(
+                f"mesh sizes must halve (or repeat): got {a} then {b}"
+            )
+
+
 def self_convergence(
     params: PhysicalParams,
     initial,
@@ -166,17 +183,7 @@ def self_convergence(
     from .grid import project_initial
 
     dxs = [float(d) for d in dx_list]
-    if len(dxs) < 2:
-        raise ValueError("need at least two mesh sizes")
-    for d in dxs:
-        if not 0.0 < d < math.inf:
-            raise ValueError(f"mesh sizes must be positive and finite, got {d}")
-    for a, b in zip(dxs, dxs[1:]):
-        ratio = a / b
-        if not (abs(ratio - 2.0) < 1e-9 or abs(ratio - 1.0) < 1e-9):
-            raise ValueError(
-                f"mesh sizes must halve (or repeat): got {a} then {b}"
-            )
+    check_nested(dxs)
     finals: list[GridFunction] = []
     for dx in dxs:
         grid = make_grid(x_left, x_right, dx)

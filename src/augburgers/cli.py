@@ -220,7 +220,16 @@ def parse_config(text: str = "", overrides: dict | None = None) -> ExperimentCon
         )
     if round(span / cfg.dx) < 2:
         raise ConfigError(f"dx = {cfg.dx}: fewer than 2 cells span the domain")
+    _check_divides(cfg, "dx", cfg.dx)
     return cfg
+
+
+def _check_divides(cfg: ExperimentConfig, key: str, dx: float) -> None:
+    # The grid's own consistency rule: dx must divide the domain span.
+    try:
+        make_grid(cfg.x_left, cfg.x_right, dx)
+    except ValueError as exc:
+        raise ConfigError(f"{key} = {dx}: {exc}") from None
 
 
 def _snapshot_times(config: ExperimentConfig) -> tuple[float, ...]:
@@ -496,6 +505,12 @@ def cmd_selfconv(config: ExperimentConfig, dx_list: str, t_check: str) -> int:
     # Each mesh size obeys the rule of the dx key; the check time is positive.
     parse_dx = _FIELDS["dx"].metadata["parse"]
     dxs = [parse_dx("dx_list", p.strip()) for p in dx_list.split(",") if p.strip()]
+    try:
+        analysis.check_nested(dxs)
+    except ValueError as exc:
+        raise ConfigError(f"dx_list = {dx_list!r}: {exc}") from None
+    for dx in dxs:
+        _check_divides(config, "dx_list entry", dx)
     t_check = _number(lo=0.0, lo_open=True)("t_check", t_check)
     params = PhysicalParams(nu=config.nu, c=config.c, theta=config.theta)
     results = analysis.self_convergence(

@@ -38,9 +38,10 @@ from its first term, all terms positive; above, it is ``1 - P(X < k)``, then
 at least 1/27.  So nothing cancels as N*h goes to 0, and moment2 is exactly
 0 at N = 1.
 
-:class:`KernelQuadrature` stores no weights: N grows like theta/dx, but
-:class:`augburgers.scheme.SchemeConfig` builds only the head its grid reads,
-at most ``num_cells - 1`` weights, once.
+:class:`KernelQuadrature` stores no weights: N grows like theta/dx, and the
+scheme needs only q, p and N (its memory sum is their recurrence, see
+:mod:`augburgers.scheme`).  :meth:`KernelQuadrature.weights` builds a head of
+them for checks.
 """
 
 from __future__ import annotations

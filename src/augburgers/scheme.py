@@ -18,10 +18,19 @@ Forward Euler stepping is stable (monotone) when
 
     dt * ( max_j |u_j|/dx + 2 nu/dx^2 + (c/theta^2) * sum (m+1) w_m ) <= 1.
 
-The face fluxes come from :mod:`augburgers.flux`.  The viscosity, both
-correctors and the paper's direct truncated memory sum are one linear
-stencil, applied by one ``np.convolve``.  Cells left of the first nonzero
-cell less one are skipped: their right-hand side is exactly 0.0.
+The weights are geometric, ``w_m = p q^(m-1)`` with ``q = exp(-dx/theta)``
+and ``p = 1 - q``, so the memory sum ``S_j = sum_{m<=N} w_m u_{j-m}`` follows
+the exact recurrence (recursive convolution)
+
+    E_j = q E_{j-1} + p u_{j-1},        S_j = E_j - q^N E_{j-N},
+
+in O(n) work at any N; the subtraction drops out where N is at least the
+window.  It runs blocked, as products with triangular Toeplitz matrices that
+:class:`SchemeConfig` builds once.  The other terms are differences of one
+face flux, plus ``-M0 u_j`` (see :func:`rhs`).  Cells left of the first
+nonzero cell less one are skipped: their right-hand side is exactly 0.0.
+:func:`march` takes ``max|u|`` of each new state in one reduction, which is
+both its finiteness check and the next step's stability bound.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .flux import FluxKind, eo_flux, mlf_flux
+from .flux import FluxKind
 from .grid import Grid, GridFunction, norm
 from .kernel import KernelQuadrature
 
@@ -57,6 +66,9 @@ __all__ = [
 
 # Cap on the adaptive step so a decayed solution does not take huge steps.
 DEFAULT_DT_MAX = 0.5
+
+# Cells per block of the blocked memory recurrence.
+_BLOCK = 32
 
 # Cells inspected on each side by the boundary-contact monitor.
 _BOUNDARY_CELLS = 10
@@ -103,19 +115,38 @@ class PhysicalParams:
             raise ValueError(f"theta must be finite and > 0, got {self.theta}")
 
 
+def _block_level(span: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(T, e)`` for ``y_j = exp(-span) y_{j-1} + x_j`` on a block of inputs:
+    ``T[k, i] = exp(-(i - k) span)`` for ``k <= i``, else 0, gives the
+    block's outputs from a zero start, ``e[k] = exp(-(_BLOCK - k) span)``
+    its last output times ``exp(-span)``."""
+    d = np.arange(_BLOCK, dtype=np.float64)
+    lag = d[None, :] - d[:, None]
+    t = np.exp(-np.where(lag >= 0.0, lag, np.inf) * span)
+    e = np.exp(-(_BLOCK - d) * span)
+    t.setflags(write=False)
+    e.setflags(write=False)
+    return t, e
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Discretization choices: flux, kernel quadrature, corrector mode, grid.
 
-    ``weights`` holds the kernel weights the grid can read, the first
-    ``min(N, num_cells - 1)`` (at least one), built once here.
+    ``blocks`` holds the constants of the blocked memory recurrence, built
+    once here: level k has ratio ``q^(_BLOCK^k)``, which the carries between
+    the blocks of level k - 1 obey.  Levels stop where one block holds them
+    all or the next ratio underflows to 0: ``O(_BLOCK^2 log num_cells)``
+    memory.
     """
 
     flux: FluxKind
     quadrature: KernelQuadrature
     corrector_mode: CorrectorMode
     grid: Grid
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         qdx = self.quadrature.dx
@@ -124,9 +155,14 @@ class SchemeConfig:
             raise ValueError(
                 f"quadrature mesh size {qdx!r} does not match grid dx {gdx!r}"
             )
-        w = self.quadrature.weights(max(self.grid.num_cells - 1, 1))
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        span = self.quadrature.dx / self.quadrature.theta
+        size = self.grid.num_cells
+        levels = [_block_level(span)]
+        while size > _BLOCK and levels[-1][1][0] > 0.0:
+            size = -(-size // _BLOCK)
+            span *= _BLOCK
+            levels.append(_block_level(span))
+        object.__setattr__(self, "blocks", tuple(levels))
 
     def corrector_factors(self) -> tuple[float, float]:
         if self.corrector_mode is CorrectorMode.CORRECTED:
@@ -186,6 +222,64 @@ def _check_theta(params: PhysicalParams, config: SchemeConfig) -> None:
         )
 
 
+def _recurrence(x: np.ndarray, blocks, level: int = 0) -> np.ndarray:
+    """``y_j = r y_{j-1} + x_j`` from ``y_{-1} = 0``, with ``r`` the ratio of
+    ``blocks[level]``; ``x`` is overwritten.
+
+    A block's outputs are its inputs times the level's matrix once r times
+    the previous block's last output is added to its first input.  Those
+    carries obey the same recurrence one level up, on the inputs times e.
+    """
+    t, e = blocks[level]
+    n = x.shape[0]
+    if n <= _BLOCK:
+        return x @ t[:n, :n]
+    nb = -(-n // _BLOCK)
+    if nb * _BLOCK != n:
+        x = np.concatenate((x, np.zeros(nb * _BLOCK - n)))
+    rows = x.reshape(nb, _BLOCK)
+    if e[0] > 0.0:
+        rows[1:, 0] += _recurrence(rows @ e, blocks, level + 1)[:-1]
+    return (rows @ t).reshape(-1)[:n]
+
+
+def _add_memory_sum(part: np.ndarray, upad: np.ndarray, scale: float, config: SchemeConfig) -> None:
+    """``part_j += scale * S_j`` on the window ``upad[1:]``, whose left
+    neighbours are zero; ``upad`` is zero past the window's m cells."""
+    quad = config.quadrature
+    h = quad.dx / quad.theta
+    m = part.shape[0]
+    # E_j = q E_{j-1} + x_j with x_j = scale p upad_j; the zeros past the
+    # window pad the input to whole blocks, and reach no output before m.
+    x = upad[: -(-m // _BLOCK) * _BLOCK] * (scale * -math.expm1(-h))
+    e = _recurrence(x, config.blocks)[:m]
+    part += e
+    big_n = quad.n_terms
+    if big_n < m:
+        part[big_n:] -= e[: m - big_n] * math.exp(-big_n * h)
+
+
+def _face_flux_difference(
+    part: np.ndarray, win: np.ndarray, dx: float, a_minus: float, a_plus: float, mlf: bool
+) -> None:
+    """``part_j = (H_{j+1/2} - H_{j-1/2})/dx`` (see :func:`rhs`) on the cells
+    of ``win`` between its first and last entry, both 0."""
+    quarter = win * (0.25 / dx)
+    if mlf:
+        left, right = quarter, quarter.copy()
+    else:
+        left = np.abs(quarter)
+        right = quarter + left
+        np.subtract(quarter, left, out=left)
+    left -= a_minus
+    left *= win
+    right += a_plus
+    right *= win
+    # H/dx at the faces of the window: left[k] = L(win_k) + R(win_k+1).
+    left[:-1] += right[1:]
+    np.subtract(left[1:-1], left[:-2], out=part)
+
+
 def rhs(
     state: SolverState,
     params: PhysicalParams,
@@ -200,64 +294,66 @@ def rhs(
     Every term of ``rhs_j`` reads only ``u_{j-N} .. u_{j+1}`` and vanishes
     on zero data (both fluxes are 0 at (0, 0)), so ``rhs_j`` is exactly 0.0
     for ``j < lo = max(first nonzero cell - 1, 0)``; only ``u[lo:]`` is
-    assembled.  The linear terms act as one stencil
-    ``k = [a+, a0, b1 + nu/dx^2, b2, ...]`` on ``u_{j+1}, u_j, u_{j-1}, ...``,
-    with ``a+ = nu/dx^2 + c M1/(theta dx)``,
-    ``a0 = -2 nu/dx^2 - (c/theta^2) M0 - c M1/(theta dx)`` and
-    ``b_m = (c/theta^2) w_m``.
+    assembled.  Besides the memory sum and ``-(c/theta^2) M0 u_j`` the terms
+    are differences of one face flux over dx,
+
+        H_{j+1/2} = g_{j+1/2} + dx (a+ u_{j+1} - a- u_j),
+
+    with ``a- = nu/dx^2`` and ``a+ = nu/dx^2 + c M1/(theta dx)``; the modified
+    Lax-Friedrichs dissipation adds ``1/(4 dt_ref)`` to both.  Each flux is
+    a part of the left state plus a part of the right (``eo_flux`` is
+    ``a(a-|a|)/4 + b(b+|b|)/4``, ``mlf_flux`` is ``a^2/4 + b^2/4`` plus the
+    dissipation), so ``H_{j+1/2} = L(u_j) + R(u_{j+1})``.
     """
     if state.u.grid is not config.grid and state.u.grid != config.grid:
         raise ValueError("state grid does not match scheme configuration grid")
     _check_theta(params, config)
+    mlf = config.flux is FluxKind.MODIFIED_LAX_FRIEDRICHS
+    if mlf and not (dt_ref is not None and dt_ref > 0.0):
+        raise ValueError("the modified Lax-Friedrichs flux needs a positive dt_ref")
     u = state.u.values
     n = u.shape[0]
     dx = config.grid.dx
     m0, m1 = config.corrector_factors()
+    mem = params.c / (params.theta * params.theta)
+    a_minus = params.nu / (dx * dx)
+    a_plus = a_minus + params.c * m1 / (params.theta * dx)
+    if mlf:
+        a_minus += 0.25 / dt_ref
+        a_plus += 0.25 / dt_ref
 
     lo = max(int((u != 0.0).argmax()) - 1, 0)
     uw = u[lo:]
     m = n - lo
+    # The window between zeros, padded to whole blocks for the memory sum.
+    upad = np.zeros(max(m + 2, -(-m // _BLOCK) * _BLOCK))
+    upad[1 : m + 1] = uw
 
-    upad = np.zeros(m + 2)
-    upad[1:-1] = uw
-    left, right = upad[:-1], upad[1:]
-    if config.flux is FluxKind.MODIFIED_LAX_FRIEDRICHS:
-        if dt_ref is None or not dt_ref > 0.0:
-            raise ValueError(
-                "the modified Lax-Friedrichs flux needs a positive dt_ref"
-            )
-        g = mlf_flux(left, right, dx, dt_ref)
-    else:
-        g = eo_flux(left, right)
-
-    # Weights past the (m - 1)st never reach a cell of the window.
-    w = config.weights[: max(m - 1, 1)]
-    mem = params.c / (params.theta * params.theta)
-    visc = params.nu / (dx * dx)
-    drift = params.c * m1 / (params.theta * dx)
-    k = np.empty(w.shape[0] + 2)
-    k[0] = visc + drift
-    k[1] = -2.0 * visc - mem * m0 - drift
-    k[2:] = mem * w
-    k[2] += visc
-
-    part = g[1:] - g[:-1]
-    part /= dx
-    part += np.convolve(uw, k)[1 : m + 1]
-    if not np.isfinite(part).all():
-        bad = lo + int(np.flatnonzero(~np.isfinite(part))[0])
-        raise SolverAbort(
-            f"right-hand side is not finite in cell {bad} at t = {state.t!r}"
-        )
     vals = np.zeros(n)
-    vals[lo:] = part
+    part = vals[lo:]
+    _face_flux_difference(part, upad[: m + 2], dx, a_minus, a_plus, mlf)
+    part -= np.multiply(uw, mem * m0)
+    _add_memory_sum(part, upad, mem, config)
+    # A non-finite entry makes the sum non-finite; a finite sum of finite
+    # terms can also overflow, so the entries decide.
+    if not math.isfinite(part.sum()):
+        bad = np.flatnonzero(~np.isfinite(part))
+        if bad.size:
+            raise SolverAbort(
+                f"right-hand side is not finite in cell {lo + int(bad[0])} "
+                f"at t = {state.t!r}"
+            )
     return GridFunction.from_checked(config.grid, vals)
 
 
-def _dt_denominator(u_values: np.ndarray, params: PhysicalParams, config: SchemeConfig) -> float:
-    _check_theta(params, config)
+def _max_abs(values: np.ndarray) -> float:
+    """``max|u_j|`` in one reduction: NaN or inf exactly when an entry is not
+    finite."""
+    return float(np.abs(values).max())
+
+
+def _dt_denominator(umax: float, params: PhysicalParams, config: SchemeConfig) -> float:
     dx = config.grid.dx
-    umax = float(np.abs(u_values).max(initial=0.0))
     return (
         umax / dx
         + 2.0 * params.nu / (dx * dx)
@@ -272,6 +368,22 @@ def _flux_headroom(config: SchemeConfig) -> float:
     if config.flux is FluxKind.MODIFIED_LAX_FRIEDRICHS:
         return 0.5
     return 1.0
+
+
+def _check_step_limits(safety: float, dt_max: float) -> None:
+    if not 0.0 < safety <= 1.0:
+        raise ValueError(f"safety must lie in (0, 1], got {safety}")
+    if not dt_max > 0.0:
+        raise ValueError(f"dt_max must be positive, got {dt_max}")
+
+
+def _stable_dt(
+    umax: float, params: PhysicalParams, config: SchemeConfig, safety: float, dt_max: float
+) -> float:
+    denom = _dt_denominator(umax, params, config)
+    if denom <= 0.0:
+        return dt_max
+    return min(_flux_headroom(config) * safety / denom, dt_max)
 
 
 def stable_dt(
@@ -289,22 +401,17 @@ def stable_dt(
     halved: its built-in dissipation adds ``1/(2 dt)`` to the diagonal of the
     update, which consumes half the stability slack.
     """
-    if not 0.0 < safety <= 1.0:
-        raise ValueError(f"safety must lie in (0, 1], got {safety}")
-    if not dt_max > 0.0:
-        raise ValueError(f"dt_max must be positive, got {dt_max}")
-    denom = _dt_denominator(state.u.values, params, config)
-    if denom <= 0.0:
-        return dt_max
-    return min(_flux_headroom(config) * safety / denom, dt_max)
+    _check_step_limits(safety, dt_max)
+    _check_theta(params, config)
+    return _stable_dt(_max_abs(state.u.values), params, config, safety, dt_max)
 
 
-def _norms_report(t: float, dt: float, u: GridFunction) -> StepReport:
+def _norms_report(t: float, dt: float, u: GridFunction, linf: float) -> StepReport:
     # One |u| pass and pairwise np.sum reductions: accurate to O(eps log n),
     # far inside the 1e-12 monotonicity and 1e-8 mass tolerances.
     # math.fsum costs 100x more once the tail decays into subnormals, so
     # exactly rounded sums are left to grid.norm and grid.mass, which
-    # snapshot analysis uses.
+    # snapshot analysis uses.  ``linf`` is max|u|, which the caller holds.
     dx = u.grid.dx
     av = np.abs(u.values)
     return StepReport(
@@ -313,8 +420,17 @@ def _norms_report(t: float, dt: float, u: GridFunction) -> StepReport:
         mass_after=dx * float(np.sum(u.values)),
         l1=dx * float(np.sum(av)),
         l2=math.sqrt(dx * float(np.sum(av * av))),
-        linf=float(av.max(initial=0.0)),
+        linf=linf,
     )
+
+
+def _checked_max_abs(values: np.ndarray, t: float) -> float:
+    """``max|u_j|`` of the state stepped from time ``t``, which must be finite."""
+    umax = _max_abs(values)
+    if not math.isfinite(umax):
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise SolverAbort(f"non-finite value in cell {bad} after step at t = {t!r}")
+    return umax
 
 
 def step_euler(
@@ -322,27 +438,69 @@ def step_euler(
     params: PhysicalParams,
     config: SchemeConfig,
     dt: float,
+    *,
+    umax: float | None = None,
 ) -> SolverState:
     """One forward-Euler step ``u <- u + dt * rhs(u)``.
 
     A step beyond the stability bound is rejected outright, never clipped.
+    A caller that holds ``umax = max|u|`` of ``state`` passes it and takes
+    over the finiteness check of the new state, as :func:`march` does in
+    the one reduction that also gives its next ``umax``.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    denom = _dt_denominator(state.u.values, params, config)
+    _check_theta(params, config)
+    held = umax is not None
+    denom = _dt_denominator(umax if held else _max_abs(state.u.values), params, config)
     bound = _flux_headroom(config) / denom if denom > 0.0 else math.inf
     if dt > bound * (1.0 + 1e-12):
         raise StabilityError(f"dt = {dt!r} exceeds the stability bound {bound!r}")
-    r = rhs(state, params, config, dt_ref=dt)
+    vals = rhs(state, params, config, dt_ref=dt).values
     # rhs has checked its own values; a finite rhs can still overflow the
-    # update, so the new state gets the step's one other finiteness pass.
-    new_vals = state.u.values + dt * r.values
-    if not np.isfinite(new_vals).all():
-        bad = int(np.flatnonzero(~np.isfinite(new_vals))[0])
-        raise SolverAbort(
-            f"non-finite value in cell {bad} after step at t = {state.t!r}"
-        )
-    return SolverState(state.t + dt, GridFunction.from_checked(config.grid, new_vals))
+    # update, so the new state gets the step's one other finiteness pass,
+    # here or in the caller's reduction.
+    vals *= dt
+    vals += state.u.values
+    if not held:
+        _checked_max_abs(vals, state.t)
+    return SolverState(state.t + dt, GridFunction.from_checked(config.grid, vals))
+
+
+def _march(
+    initials: Sequence[GridFunction],
+    params: PhysicalParams,
+    config: SchemeConfig,
+    targets: Iterable[float],
+    safety: float,
+    dt_max: float,
+) -> Iterator[tuple[float, list[SolverState], list[float]]]:
+    # The loop of march; it also yields max|u| of each new state.
+    if not initials:
+        raise ValueError("need at least one initial state")
+    _check_step_limits(safety, dt_max)
+    _check_theta(params, config)
+    states = [SolverState(0.0, u) for u in initials]
+    umaxes = [_max_abs(u.values) for u in initials]
+    t = 0.0
+    for target in targets:
+        while t < target:
+            gap = target - t
+            dt = min(
+                min(_stable_dt(m, params, config, safety, dt_max) for m in umaxes),
+                gap,
+            )
+            lands = dt >= gap * (1.0 - 1e-14)
+            if lands:
+                dt = gap
+            states = [
+                step_euler(s, params, config, dt, umax=m) for s, m in zip(states, umaxes)
+            ]
+            umaxes = [_checked_max_abs(s.u.values, t) for s in states]
+            if lands:
+                states = [SolverState(target, s.u) for s in states]
+            t = states[0].t
+            yield dt, states, umaxes
 
 
 def march(
@@ -359,27 +517,11 @@ def march(
     ``dt_max``), cut to the gap to the next of the increasing ``targets``,
     which are landed on exactly; the default target is never reached, so the
     caller stops.  The comparison properties (L1 contraction, order
-    preservation) need this one time grid.
+    preservation) need this one time grid.  ``max|u|`` of each new state is
+    taken once: it checks the state is finite and bounds the next step.
     """
-    if not initials:
-        raise ValueError("need at least one initial state")
-    states = [SolverState(0.0, u) for u in initials]
-    t = 0.0
-    for target in targets:
-        while t < target:
-            gap = target - t
-            dt = min(
-                min(stable_dt(s, params, config, safety, dt_max) for s in states),
-                gap,
-            )
-            lands = dt >= gap * (1.0 - 1e-14)
-            if lands:
-                dt = gap
-            states = [step_euler(s, params, config, dt) for s in states]
-            if lands:
-                states = [SolverState(target, s.u) for s in states]
-            t = states[0].t
-            yield dt, states
+    for dt, states, _ in _march(initials, params, config, targets, safety, dt_max):
+        yield dt, states
 
 
 def _boundary_contact(u: GridFunction, u0_linf: float) -> bool:
@@ -427,11 +569,11 @@ def run(
 
     state = SolverState(0.0, initial)
     k = 0  # index of the next snapshot time
-    steps = march([initial], params, config, snaps, safety, dt_max)
+    steps = _march([initial], params, config, snaps, safety, dt_max)
     try:
-        for count, (dt, (state,)) in enumerate(steps, 1):
+        for count, (dt, (state,), (umax,)) in enumerate(steps, 1):
             if count % report_every == 0:
-                record.step_reports.append(_norms_report(state.t, dt, state.u))
+                record.step_reports.append(_norms_report(state.t, dt, state.u, umax))
             while k < len(snaps) and state.t >= snaps[k]:
                 record.snapshots.append((snaps[k], state.u.copy()))
                 if (u0_linf > 0.0 and not record.boundary_warning

@@ -238,6 +238,17 @@ class TestRunCommand:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
 
+    def test_dx_must_divide_the_span(self, tmp_path, capsys):
+        # 320 / 0.3 is no whole number of cells: the grid's own consistency
+        # rule, reported as a config error before any output.
+        out = tmp_path / "x"
+        rc = main(["run", "--dx", "0.3", "--t-end", "0.01", "--snapshot-times",
+                   "0.01", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: dx = 0.3") and "inconsistent grid" in err
+        assert not out.exists()
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         rc = main(["run", "--nu", "-3", "--out", str(tmp_path / "x")])
         assert rc == 2
@@ -403,12 +414,18 @@ class TestSelfconvCommand:
             (["--t-check", "nan"], "t_check"),
             (["--t-check", "-1"], "t_check"),
             (["--t-check", "inf"], "t_check"),
+            (["--dx-list", "0.3,0.15"], "dx_list"),
+            (["--dx-list", "0.2"], "dx_list"),
+            (["--dx-list", "0.3,0.2"], "dx_list"),
         ],
-        ids=["dx-zero", "t-check-nan", "t-check-negative", "t-check-inf"],
+        ids=["dx-zero", "t-check-nan", "t-check-negative", "t-check-inf",
+             "dx-not-dividing-span", "dx-one-size", "dx-not-halving"],
     )
     def test_bad_mesh_size_or_check_time_is_config_error(self, tmp_path, capsys, argv, key):
-        # Both flags go through config parse rules, so a bad value fails
-        # before any run, with exit 2 and no output directory.
+        # Both flags go through config parse rules, and the mesh sizes also
+        # through the nesting rule of self_convergence and the grid's span
+        # rule, so a bad value fails before any run, with exit 2 and no
+        # output directory.
         rc = main(["selfconv", *argv, "--out", str(tmp_path / "s")])
         captured = capsys.readouterr()
         assert rc == 2

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from augburgers.flux import FluxKind, eo_flux
 from augburgers.grid import Grid, GridFunction, make_grid, mass, norm
 from augburgers.kernel import build, choose_n
 from augburgers.scheme import (
+    _BLOCK,
     _norms_report,
     CorrectorMode,
     PhysicalParams,
@@ -150,6 +152,59 @@ class TestRhs:
     @example(n=12, n_terms=8, dx=0.5, nu=0.3, c=0.7, theta=1.5,
              flux=FluxKind.MODIFIED_LAX_FRIEDRICHS, corrector=CorrectorMode.NAIVE,
              dt_ref=0.1, seed=9, prefix=4, width=40)
+    # Windows of B - 1, B, B + 1 and 2B + 1 cells for the block length B of
+    # the memory recurrence, with N below and at or above the window.
+    @example(n=_BLOCK - 1, n_terms=5, dx=0.5, nu=0.3, c=0.7, theta=1.5,
+             flux=FluxKind.ENGQUIST_OSHER, corrector=CorrectorMode.CORRECTED,
+             dt_ref=0.1, seed=10, prefix=0, width=2 * _BLOCK + 1)
+    @example(n=_BLOCK, n_terms=_BLOCK + 3, dx=0.5, nu=0.3, c=0.7, theta=1.5,
+             flux=FluxKind.MODIFIED_LAX_FRIEDRICHS, corrector=CorrectorMode.NAIVE,
+             dt_ref=0.1, seed=11, prefix=0, width=2 * _BLOCK + 1)
+    @example(n=_BLOCK + 1, n_terms=_BLOCK, dx=0.5, nu=0.3, c=0.7, theta=1.5,
+             flux=FluxKind.ENGQUIST_OSHER, corrector=CorrectorMode.NAIVE,
+             dt_ref=0.1, seed=12, prefix=0, width=2 * _BLOCK + 1)
+    @example(n=2 * _BLOCK + 1, n_terms=_BLOCK + 1, dx=0.5, nu=0.3, c=0.7, theta=1.5,
+             flux=FluxKind.MODIFIED_LAX_FRIEDRICHS, corrector=CorrectorMode.CORRECTED,
+             dt_ref=0.1, seed=13, prefix=0, width=2 * _BLOCK + 1)
+    @example(n=2 * _BLOCK + 1, n_terms=2 * _BLOCK + 1, dx=0.5, nu=0.3, c=0.7,
+             theta=1.5, flux=FluxKind.ENGQUIST_OSHER,
+             corrector=CorrectorMode.CORRECTED, dt_ref=0.1, seed=14, prefix=0,
+             width=2 * _BLOCK + 1)
+    # h = dx/theta = 1000: q = exp(-h) underflows to 0, so w = (1, 0, 0, ...);
+    # c = 1e-6 keeps c/theta^2 and c M1/(theta dx) at 1.  Each flux and mode.
+    @example(n=_BLOCK + 1, n_terms=3, dx=1.0, nu=0.3, c=1e-6, theta=1e-3,
+             flux=FluxKind.ENGQUIST_OSHER, corrector=CorrectorMode.CORRECTED,
+             dt_ref=0.1, seed=15, prefix=0, width=2 * _BLOCK + 1)
+    @example(n=2 * _BLOCK + 1, n_terms=70, dx=1.0, nu=0.3, c=1e-6, theta=1e-3,
+             flux=FluxKind.ENGQUIST_OSHER, corrector=CorrectorMode.NAIVE,
+             dt_ref=0.1, seed=16, prefix=0, width=2 * _BLOCK + 1)
+    @example(n=_BLOCK + 1, n_terms=3, dx=1.0, nu=0.3, c=1e-6, theta=1e-3,
+             flux=FluxKind.MODIFIED_LAX_FRIEDRICHS, corrector=CorrectorMode.CORRECTED,
+             dt_ref=0.1, seed=17, prefix=0, width=2 * _BLOCK + 1)
+    @example(n=2 * _BLOCK + 1, n_terms=70, dx=1.0, nu=0.3, c=1e-6, theta=1e-3,
+             flux=FluxKind.MODIFIED_LAX_FRIEDRICHS, corrector=CorrectorMode.NAIVE,
+             dt_ref=0.1, seed=18, prefix=0, width=2 * _BLOCK + 1)
+    # h = 1e-7: q = 1 - 1e-7 to rounding, so the truncated sum is the
+    # difference of two nearly equal recurrences; c = 1e19 lifts the memory
+    # terms (c/theta^2 = 1e7) to the size of the others.  Each flux and mode.
+    @example(n=2 * _BLOCK + 1, n_terms=20, dx=0.1, nu=0.3, c=1e19, theta=1e6,
+             flux=FluxKind.ENGQUIST_OSHER, corrector=CorrectorMode.CORRECTED,
+             dt_ref=0.1, seed=19, prefix=0, width=2 * _BLOCK + 1)
+    @example(n=_BLOCK, n_terms=40, dx=0.1, nu=0.3, c=1e19, theta=1e6,
+             flux=FluxKind.ENGQUIST_OSHER, corrector=CorrectorMode.NAIVE,
+             dt_ref=0.1, seed=20, prefix=0, width=2 * _BLOCK + 1)
+    @example(n=2 * _BLOCK + 1, n_terms=20, dx=0.1, nu=0.3, c=1e19, theta=1e6,
+             flux=FluxKind.MODIFIED_LAX_FRIEDRICHS, corrector=CorrectorMode.NAIVE,
+             dt_ref=0.1, seed=21, prefix=0, width=2 * _BLOCK + 1)
+    @example(n=_BLOCK, n_terms=40, dx=0.1, nu=0.3, c=1e19, theta=1e6,
+             flux=FluxKind.MODIFIED_LAX_FRIEDRICHS, corrector=CorrectorMode.CORRECTED,
+             dt_ref=0.1, seed=22, prefix=0, width=2 * _BLOCK + 1)
+    # More than B^2 cells: the carries between blocks of blocks (level 2),
+    # with h = 1e-3 so that q^(B^2) = 0.36 keeps them visible.
+    @example(n=_BLOCK * _BLOCK + _BLOCK + 1, n_terms=300, dx=0.5, nu=0.3, c=1e5,
+             theta=500.0, flux=FluxKind.ENGQUIST_OSHER,
+             corrector=CorrectorMode.CORRECTED, dt_ref=0.1, seed=23, prefix=0,
+             width=_BLOCK * _BLOCK + _BLOCK + 1)
     def test_matches_literal_assembly(
         self, n, n_terms, dx, nu, c, theta, flux, corrector, dt_ref, seed, prefix,
         width,
@@ -264,6 +319,27 @@ class TestRhs:
             rel[mode] = abs(residual) / (dx * math.fsum(np.abs(xr).tolist()))
         assert rel[CorrectorMode.CORRECTED] <= 1e-12
         assert rel[CorrectorMode.NAIVE] >= 1e-6
+
+    def test_memory_bounded_on_a_million_cells(self):
+        # The operator keeps O(num_cells + B^2) memory: no N-long array
+        # (N = 1.8e8 at theta = 1e6) and nothing (n/B) x (n/B).
+        grid = make_grid(0.0, 1e5, 0.1)
+        u = np.random.default_rng(19).uniform(-1.0, 1.0, grid.num_cells)
+        state = SolverState(0.0, GridFunction(grid, u))
+        theta = 1e6
+        tracemalloc.start()
+        try:
+            config = SchemeConfig(
+                flux=FluxKind.ENGQUIST_OSHER,
+                quadrature=build(0.1, theta, choose_n(0.1, theta, 1e-8)),
+                corrector_mode=CorrectorMode.CORRECTED, grid=grid,
+            )
+            rhs(state, PhysicalParams(nu=1e-2, c=2e-2, theta=theta), config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.num_cells == 10**6 and config.quadrature.n_terms > 10**8
+        assert peak < 100e6
 
     def test_mlf_needs_reference_step(self):
         grid, params, config = make_setup(flux=FluxKind.MODIFIED_LAX_FRIEDRICHS)
@@ -480,7 +556,8 @@ class TestStepReports:
             u = np.zeros_like(u)
         assume(u.size >= 2)
         grid = make_grid(0.0, u.size * dx, dx)
-        report = _norms_report(1.0, 0.1, GridFunction(grid, u))
+        # The caller holds max|u|, as march does (its one reduction).
+        report = _norms_report(1.0, 0.1, GridFunction(grid, u), float(np.abs(u).max()))
         mass_x, l1_x, l2_x, linf_x = fsum_report(u, grid.dx)
         # A signed sum is only as accurate as its absolute sum allows.
         assert abs(report.mass_after - mass_x) <= 1e-14 * l1_x
@@ -572,6 +649,28 @@ class TestLockstep:
             prev = states
         assert set(targets) <= set(times)
         assert times[-1] == targets[-1]
+
+    def test_dt_is_min_stable_dt_capped_at_gap(self):
+        # march holds max|u| of the states it yields; every dt must still be
+        # the smallest stable_dt recomputed from those states, capped at the
+        # gap to the next target and landed on it exactly.
+        grid, params, config = make_setup(tail_tol=1e-6)
+        u0 = interior_state(grid, np.random.default_rng(18), 20).u
+        v0 = GridFunction(grid, -2.5 * u0.values)
+        targets = [0.37, 1.0, 2.25]
+        prev = [SolverState(0.0, u0), SolverState(0.0, v0)]
+        landings = []
+        for dt, states in march([u0, v0], params, config, targets, dt_max=10.0):
+            t = prev[0].t
+            gap = min(x for x in targets if x > t) - t
+            bound = min(stable_dt(s, params, config, 0.9, 10.0) for s in prev)
+            lands = min(bound, gap) >= gap * (1.0 - 1e-14)
+            assert dt == (gap if lands else bound)
+            assert [s.t for s in states] == [t + dt] * 2 or lands
+            if lands:
+                landings.append(states[0].t)
+            prev = states
+        assert landings == targets
 
     def test_open_ended_until_stopped(self):
         grid, params, config = make_setup()

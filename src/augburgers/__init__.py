@@ -3,11 +3,10 @@ relaxation memory term, designed to preserve the large-time diffusive-wave
 behavior, plus the verification harness for its conservation, contraction
 and convergence properties."""
 
-from .flux import FluxKind
 from .grid import Grid, GridFunction, make_grid
 from .kernel import KernelQuadrature
 from .profile import AsymptoticProfile
-from .scheme import CorrectorMode, PhysicalParams, RunRecord, SchemeConfig
+from .scheme import CorrectorMode, FluxKind, PhysicalParams, RunRecord, SchemeConfig
 
 __version__ = "0.1.0"
 

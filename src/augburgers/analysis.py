@@ -17,11 +17,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import scheme
-from .flux import FluxKind
 from .grid import Grid, GridFunction, d_plus, make_grid, norm, zero_pad
 from .kernel import DEFAULT_TAIL_TOL, build, choose_n
 from .profile import AsymptoticProfile, sample_on_grid
-from .scheme import CorrectorMode, PhysicalParams, RunRecord, SchemeConfig
+from .scheme import CorrectorMode, FluxKind, PhysicalParams, RunRecord, SchemeConfig
 
 __all__ = [
     "RateSeries",
@@ -168,6 +167,7 @@ def self_convergence(
     t_check: float,
     flux: FluxKind = FluxKind.ENGQUIST_OSHER,
     corrector_mode: CorrectorMode = CorrectorMode.CORRECTED,
+    theta: float = 1.0,
     tail_tol: float = DEFAULT_TAIL_TOL,
     safety: float = 0.9,
     dt_max: float = scheme.DEFAULT_DT_MAX,
@@ -178,7 +178,8 @@ def self_convergence(
     restricts every finer solution to the next coarser mesh by cell-pair
     averaging and reports ``((dx_fine, dx_coarse), ||restrict(u_fine) -
     u_coarse||_1)`` at ``t_check``.  Mesh sizes must be nested: each entry
-    equal to or half of the previous one.
+    equal to or half of the previous one.  Each mesh gets the kernel
+    quadrature of relaxation time ``theta`` truncated at ``tail_tol``.
     """
     from .grid import project_initial
 
@@ -187,7 +188,7 @@ def self_convergence(
     finals: list[GridFunction] = []
     for dx in dxs:
         grid = make_grid(x_left, x_right, dx)
-        quad = build(dx, params.theta, choose_n(dx, params.theta, tail_tol))
+        quad = build(dx, theta, choose_n(dx, theta, tail_tol))
         config = SchemeConfig(
             flux=flux, quadrature=quad, corrector_mode=corrector_mode, grid=grid
         )

@@ -16,9 +16,8 @@ import math
 import numpy as np
 
 from . import analysis, kernel, profile, scheme
-from .flux import FluxKind
 from .grid import GridFunction, make_grid, mass, norm
-from .scheme import CorrectorMode, PhysicalParams, SchemeConfig
+from .scheme import CorrectorMode, FluxKind, PhysicalParams, SchemeConfig
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -31,23 +30,24 @@ def _random_interior_state(rng, n=160, dx=0.25, margin=60, amp=0.4):
     return GridFunction(grid, vals)
 
 
-def _random_params(rng) -> PhysicalParams:
+def _random_params(rng) -> tuple[PhysicalParams, float]:
+    # (params, theta), drawn in the order nu, c, theta.
     nu = float(rng.uniform(0.0, 0.05))
     c = float(rng.uniform(0.0, 0.05))
     if nu + c < 1e-3:
         nu = 0.01
-    return PhysicalParams(nu=nu, c=c, theta=float(rng.uniform(0.5, 2.0)))
+    return PhysicalParams(nu=nu, c=c), float(rng.uniform(0.5, 2.0))
 
 
 def _setup_for_case(rng, tail_tol=1e-6, extra_margin=4):
     # The memory term spreads support rightward roughly one kernel width per
     # step, so exact-conservation checks need extra_margin > steps taken.
-    params = _random_params(rng)
+    params, theta = _random_params(rng)
     dx = 0.25
-    n_terms = kernel.choose_n(dx, params.theta, tail_tol)
+    n_terms = kernel.choose_n(dx, theta, tail_tol)
     margin = n_terms + extra_margin
     state = _random_interior_state(rng, margin=margin, n=2 * margin + 40)
-    quad = kernel.build(dx, params.theta, n_terms)
+    quad = kernel.build(dx, theta, n_terms)
     config = SchemeConfig(
         flux=FluxKind.ENGQUIST_OSHER,
         quadrature=quad,

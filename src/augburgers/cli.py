@@ -22,15 +22,19 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import analysis, initial, kernel, profile, scheme
-from .flux import FluxKind
 from .grid import GridFunction, make_grid, mass, project_initial
-from .scheme import CorrectorMode, PhysicalParams, SchemeConfig, SolverAbort
+from .scheme import CorrectorMode, FluxKind, PhysicalParams, SchemeConfig, SolverAbort
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "main"]
 
 
 class ConfigError(ValueError):
     pass
+
+
+# Cap on the cells of a grid, so that a tiny dx is a config error, not an
+# allocation that fails or runs out of memory.
+_MAX_CELLS = 10**6
 
 
 def _parse_float(key, raw, lo=None, hi=None, lo_open=False, hi_open=False):
@@ -225,7 +229,14 @@ def parse_config(text: str = "", overrides: dict | None = None) -> ExperimentCon
 
 
 def _check_divides(cfg: ExperimentConfig, key: str, dx: float) -> None:
-    # The grid's own consistency rule: dx must divide the domain span.
+    # The cap on the cell count, then the grid's own consistency rule: dx
+    # must divide the domain span.
+    cells = (cfg.x_right - cfg.x_left) / dx
+    if not cells < _MAX_CELLS + 0.5:
+        raise ConfigError(
+            f"{key} = {dx}: {cells:.6g} cells span the domain, more than the "
+            f"cap of {_MAX_CELLS}"
+        )
     try:
         make_grid(cfg.x_left, cfg.x_right, dx)
     except ValueError as exc:
@@ -258,7 +269,7 @@ def _build_setup(config: ExperimentConfig):
     grid = make_grid(config.x_left, config.x_right, config.dx)
     n_terms = kernel.choose_n(config.dx, config.theta, config.tail_tol)
     quad = kernel.build(config.dx, config.theta, n_terms)
-    params = PhysicalParams(nu=config.nu, c=config.c, theta=config.theta)
+    params = PhysicalParams(nu=config.nu, c=config.c)
     scheme_config = SchemeConfig(
         flux=FluxKind(config.flux),
         quadrature=quad,
@@ -272,18 +283,12 @@ def _build_setup(config: ExperimentConfig):
 # output helpers
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([_render(v) for v in row])
 
 
 def _write_float_csv(path: str, header: list[str], blocks) -> None:
@@ -512,7 +517,7 @@ def cmd_selfconv(config: ExperimentConfig, dx_list: str, t_check: str) -> int:
     for dx in dxs:
         _check_divides(config, "dx_list entry", dx)
     t_check = _number(lo=0.0, lo_open=True)("t_check", t_check)
-    params = PhysicalParams(nu=config.nu, c=config.c, theta=config.theta)
+    params = PhysicalParams(nu=config.nu, c=config.c)
     results = analysis.self_convergence(
         params,
         init,
@@ -522,6 +527,7 @@ def cmd_selfconv(config: ExperimentConfig, dx_list: str, t_check: str) -> int:
         t_check,
         flux=FluxKind(config.flux),
         corrector_mode=CorrectorMode(config.corrector_mode),
+        theta=config.theta,
         tail_tol=config.tail_tol,
         safety=config.safety,
         dt_max=config.dt_max,
@@ -530,7 +536,7 @@ def cmd_selfconv(config: ExperimentConfig, dx_list: str, t_check: str) -> int:
     rows = []
     prev = None
     for (dx_fine, dx_coarse), diff in results:
-        ratio = "" if prev in (None, 0.0) else _fmt(diff / prev)
+        ratio = "" if prev in (None, 0.0) else diff / prev
         rows.append((dx_fine, dx_coarse, diff, ratio))
         prev = diff
     _write_csv(

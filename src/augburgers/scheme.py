@@ -7,8 +7,13 @@ Per cell j (zero extension outside the grid) the right-hand side is
     + (c/theta^2) * (sum_{m=1..N} w_m u_{j-m} - M0 * u_j)
     + (c/theta)   * M1 * (u_{j+1} - u_j)/dx,
 
-where (M0, M1) are the truncated kernel moments in CORRECTED mode and
-(1, 1) in NAIVE mode.  The (c/theta^2), (c/theta) prefactors come from
+where g is a two-point flux consistent with u^2/2 (:class:`FluxKind`):
+Engquist-Osher ``g(a, b) = a(a-|a|)/4 + b(b+|b|)/4``, the monotone flux the
+scheme is built around, or modified Lax-Friedrichs
+``g(a, b) = (a^2 + b^2)/4 + dx (b - a)/(4 dt)``, the over-diffusive
+comparator.  (M0, M1) are the truncated kernel moments in CORRECTED mode and
+(1, 1) in NAIVE mode, and theta is the kernel quadrature's, the one place it
+is stored.  The (c/theta^2), (c/theta) prefactors come from
 rewriting the memory term ``c K * u_xx`` as
 ``(c/theta^2)(K * u - u) + (c/theta) u_x``; all four spatial terms telescope,
 so total mass is conserved exactly in CORRECTED mode for interior-supported
@@ -29,8 +34,8 @@ window.  It runs blocked, as products with triangular Toeplitz matrices that
 :class:`SchemeConfig` builds once.  The other terms are differences of one
 face flux, plus ``-M0 u_j`` (see :func:`rhs`).  Cells left of the first
 nonzero cell less one are skipped: their right-hand side is exactly 0.0.
-:func:`march` takes ``max|u|`` of each new state in one reduction, which is
-both its finiteness check and the next step's stability bound.
+A :class:`SolverState` takes ``max|u|`` once, when it is built: that one
+reduction is both its finiteness check and the bound of its next step.
 """
 
 from __future__ import annotations
@@ -43,11 +48,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .flux import FluxKind
 from .grid import Grid, GridFunction, norm
 from .kernel import KernelQuadrature
 
 __all__ = [
+    "FluxKind",
     "CorrectorMode",
     "PhysicalParams",
     "SchemeConfig",
@@ -83,6 +88,14 @@ class SolverAbort(RuntimeError):
     """The solution left the finite range (NaN/Inf); the run cannot continue."""
 
 
+class FluxKind(Enum):
+    # The modified Lax-Friedrichs dissipation is a discrete viscosity
+    # dx^2/(4 dt), which wrecks the large-time behavior when the physical
+    # coefficients are small.
+    ENGQUIST_OSHER = "eo"
+    MODIFIED_LAX_FRIEDRICHS = "mlf"
+
+
 class CorrectorMode(Enum):
     # CORRECTED multiplies the local terms by the truncated kernel moments;
     # NAIVE pretends the truncation is exact (factors 1), which breaks exact
@@ -93,16 +106,15 @@ class CorrectorMode(Enum):
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Equation coefficients: viscosity ``nu``, relaxation strength ``c``
-    and relaxation time ``theta``.
+    """Equation coefficients: viscosity ``nu`` and relaxation strength ``c``.
 
-    ``nu`` and ``c`` are nonnegative with ``nu + c > 0`` (at most one may
-    vanish, for ablations); ``theta`` is positive.
+    Both are nonnegative with ``nu + c > 0`` (at most one may vanish, for
+    ablations).  The relaxation time theta is the kernel quadrature's
+    (``SchemeConfig.quadrature.theta``), so it is stored once.
     """
 
     nu: float
     c: float
-    theta: float = 1.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.nu) and self.nu >= 0.0):
@@ -111,8 +123,6 @@ class PhysicalParams:
             raise ValueError(f"c must be finite and >= 0, got {self.c}")
         if not self.nu + self.c > 0.0:
             raise ValueError("nu + c must be positive")
-        if not (math.isfinite(self.theta) and self.theta > 0.0):
-            raise ValueError(f"theta must be finite and > 0, got {self.theta}")
 
 
 def _block_level(span: float) -> tuple[np.ndarray, np.ndarray]:
@@ -170,16 +180,30 @@ class SchemeConfig:
         return 1.0, 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverState:
-    """Simulation time and current grid function."""
+    """Simulation time, current grid function and its ``umax = max|u_j|``.
+
+    ``umax`` is taken once, here: the one reduction is also the finiteness
+    check (:class:`SolverAbort` on NaN or inf), and it bounds the next step.
+    The values are made read-only so that ``umax`` cannot go stale; a
+    caller that keeps writing to its array passes a copy.
+    """
 
     t: float
     u: GridFunction
+    umax: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t) and self.t >= 0.0):
             raise ValueError(f"t must be finite and >= 0, got {self.t}")
+        vals = self.u.values
+        umax = float(np.abs(vals).max())
+        if not math.isfinite(umax):
+            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+            raise SolverAbort(f"non-finite value in cell {bad} at t = {self.t!r}")
+        vals.setflags(write=False)
+        object.__setattr__(self, "umax", umax)
 
 
 @dataclass(frozen=True)
@@ -210,16 +234,6 @@ class RunRecord:
     step_reports: list[StepReport] = field(default_factory=list)
     aborted: bool = False
     boundary_warning: bool = False
-
-
-def _check_theta(params: PhysicalParams, config: SchemeConfig) -> None:
-    # The prefactors c/theta and c/theta^2 use params.theta; the weights and
-    # moments are those of the quadrature's theta.
-    if params.theta != config.quadrature.theta:
-        raise ValueError(
-            f"theta = {params.theta!r} does not match the kernel quadrature's "
-            f"theta = {config.quadrature.theta!r}"
-        )
 
 
 def _recurrence(x: np.ndarray, blocks, level: int = 0) -> np.ndarray:
@@ -301,13 +315,12 @@ def rhs(
 
     with ``a- = nu/dx^2`` and ``a+ = nu/dx^2 + c M1/(theta dx)``; the modified
     Lax-Friedrichs dissipation adds ``1/(4 dt_ref)`` to both.  Each flux is
-    a part of the left state plus a part of the right (``eo_flux`` is
-    ``a(a-|a|)/4 + b(b+|b|)/4``, ``mlf_flux`` is ``a^2/4 + b^2/4`` plus the
-    dissipation), so ``H_{j+1/2} = L(u_j) + R(u_{j+1})``.
+    a part of the left state plus a part of the right (Engquist-Osher
+    ``a(a-|a|)/4 + b(b+|b|)/4``, modified Lax-Friedrichs ``a^2/4 + b^2/4``
+    plus the dissipation), so ``H_{j+1/2} = L(u_j) + R(u_{j+1})``.
     """
     if state.u.grid is not config.grid and state.u.grid != config.grid:
         raise ValueError("state grid does not match scheme configuration grid")
-    _check_theta(params, config)
     mlf = config.flux is FluxKind.MODIFIED_LAX_FRIEDRICHS
     if mlf and not (dt_ref is not None and dt_ref > 0.0):
         raise ValueError("the modified Lax-Friedrichs flux needs a positive dt_ref")
@@ -315,9 +328,10 @@ def rhs(
     n = u.shape[0]
     dx = config.grid.dx
     m0, m1 = config.corrector_factors()
-    mem = params.c / (params.theta * params.theta)
+    theta = config.quadrature.theta
+    mem = params.c / (theta * theta)
     a_minus = params.nu / (dx * dx)
-    a_plus = a_minus + params.c * m1 / (params.theta * dx)
+    a_plus = a_minus + params.c * m1 / (theta * dx)
     if mlf:
         a_minus += 0.25 / dt_ref
         a_plus += 0.25 / dt_ref
@@ -346,18 +360,13 @@ def rhs(
     return GridFunction.from_checked(config.grid, vals)
 
 
-def _max_abs(values: np.ndarray) -> float:
-    """``max|u_j|`` in one reduction: NaN or inf exactly when an entry is not
-    finite."""
-    return float(np.abs(values).max())
-
-
-def _dt_denominator(umax: float, params: PhysicalParams, config: SchemeConfig) -> float:
+def _dt_denominator(state: SolverState, params: PhysicalParams, config: SchemeConfig) -> float:
     dx = config.grid.dx
+    theta = config.quadrature.theta
     return (
-        umax / dx
+        state.umax / dx
         + 2.0 * params.nu / (dx * dx)
-        + (params.c / (params.theta * params.theta)) * config.quadrature.stability_sum
+        + (params.c / (theta * theta)) * config.quadrature.stability_sum
     )
 
 
@@ -377,15 +386,6 @@ def _check_step_limits(safety: float, dt_max: float) -> None:
         raise ValueError(f"dt_max must be positive, got {dt_max}")
 
 
-def _stable_dt(
-    umax: float, params: PhysicalParams, config: SchemeConfig, safety: float, dt_max: float
-) -> float:
-    denom = _dt_denominator(umax, params, config)
-    if denom <= 0.0:
-        return dt_max
-    return min(_flux_headroom(config) * safety / denom, dt_max)
-
-
 def stable_dt(
     state: SolverState,
     params: PhysicalParams,
@@ -402,35 +402,29 @@ def stable_dt(
     update, which consumes half the stability slack.
     """
     _check_step_limits(safety, dt_max)
-    _check_theta(params, config)
-    return _stable_dt(_max_abs(state.u.values), params, config, safety, dt_max)
+    denom = _dt_denominator(state, params, config)
+    if denom <= 0.0:
+        return dt_max
+    return min(_flux_headroom(config) * safety / denom, dt_max)
 
 
-def _norms_report(t: float, dt: float, u: GridFunction, linf: float) -> StepReport:
+def _norms_report(dt: float, state: SolverState) -> StepReport:
     # One |u| pass and pairwise np.sum reductions: accurate to O(eps log n),
     # far inside the 1e-12 monotonicity and 1e-8 mass tolerances.
     # math.fsum costs 100x more once the tail decays into subnormals, so
     # exactly rounded sums are left to grid.norm and grid.mass, which
-    # snapshot analysis uses.  ``linf`` is max|u|, which the caller holds.
+    # snapshot analysis uses.  The max norm is the state's umax.
+    u = state.u
     dx = u.grid.dx
     av = np.abs(u.values)
     return StepReport(
-        t=t,
+        t=state.t,
         dt_used=dt,
         mass_after=dx * float(np.sum(u.values)),
         l1=dx * float(np.sum(av)),
         l2=math.sqrt(dx * float(np.sum(av * av))),
-        linf=linf,
+        linf=state.umax,
     )
-
-
-def _checked_max_abs(values: np.ndarray, t: float) -> float:
-    """``max|u_j|`` of the state stepped from time ``t``, which must be finite."""
-    umax = _max_abs(values)
-    if not math.isfinite(umax):
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise SolverAbort(f"non-finite value in cell {bad} after step at t = {t!r}")
-    return umax
 
 
 def step_euler(
@@ -438,69 +432,25 @@ def step_euler(
     params: PhysicalParams,
     config: SchemeConfig,
     dt: float,
-    *,
-    umax: float | None = None,
 ) -> SolverState:
     """One forward-Euler step ``u <- u + dt * rhs(u)``.
 
     A step beyond the stability bound is rejected outright, never clipped.
-    A caller that holds ``umax = max|u|`` of ``state`` passes it and takes
-    over the finiteness check of the new state, as :func:`march` does in
-    the one reduction that also gives its next ``umax``.
+    The bound reads ``state.umax``; building the new state checks that it is
+    finite.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    _check_theta(params, config)
-    held = umax is not None
-    denom = _dt_denominator(umax if held else _max_abs(state.u.values), params, config)
+    denom = _dt_denominator(state, params, config)
     bound = _flux_headroom(config) / denom if denom > 0.0 else math.inf
     if dt > bound * (1.0 + 1e-12):
         raise StabilityError(f"dt = {dt!r} exceeds the stability bound {bound!r}")
     vals = rhs(state, params, config, dt_ref=dt).values
     # rhs has checked its own values; a finite rhs can still overflow the
-    # update, so the new state gets the step's one other finiteness pass,
-    # here or in the caller's reduction.
+    # update, which the new state's umax reduction catches.
     vals *= dt
     vals += state.u.values
-    if not held:
-        _checked_max_abs(vals, state.t)
     return SolverState(state.t + dt, GridFunction.from_checked(config.grid, vals))
-
-
-def _march(
-    initials: Sequence[GridFunction],
-    params: PhysicalParams,
-    config: SchemeConfig,
-    targets: Iterable[float],
-    safety: float,
-    dt_max: float,
-) -> Iterator[tuple[float, list[SolverState], list[float]]]:
-    # The loop of march; it also yields max|u| of each new state.
-    if not initials:
-        raise ValueError("need at least one initial state")
-    _check_step_limits(safety, dt_max)
-    _check_theta(params, config)
-    states = [SolverState(0.0, u) for u in initials]
-    umaxes = [_max_abs(u.values) for u in initials]
-    t = 0.0
-    for target in targets:
-        while t < target:
-            gap = target - t
-            dt = min(
-                min(_stable_dt(m, params, config, safety, dt_max) for m in umaxes),
-                gap,
-            )
-            lands = dt >= gap * (1.0 - 1e-14)
-            if lands:
-                dt = gap
-            states = [
-                step_euler(s, params, config, dt, umax=m) for s, m in zip(states, umaxes)
-            ]
-            umaxes = [_checked_max_abs(s.u.values, t) for s in states]
-            if lands:
-                states = [SolverState(target, s.u) for s in states]
-            t = states[0].t
-            yield dt, states, umaxes
 
 
 def march(
@@ -517,11 +467,26 @@ def march(
     ``dt_max``), cut to the gap to the next of the increasing ``targets``,
     which are landed on exactly; the default target is never reached, so the
     caller stops.  The comparison properties (L1 contraction, order
-    preservation) need this one time grid.  ``max|u|`` of each new state is
-    taken once: it checks the state is finite and bounds the next step.
+    preservation) need this one time grid.  The initial data are copied, so
+    the caller's arrays stay writable.
     """
-    for dt, states, _ in _march(initials, params, config, targets, safety, dt_max):
-        yield dt, states
+    if not initials:
+        raise ValueError("need at least one initial state")
+    _check_step_limits(safety, dt_max)
+    states = [SolverState(0.0, u.copy()) for u in initials]
+    t = 0.0
+    for target in targets:
+        while t < target:
+            gap = target - t
+            dt = min(min(stable_dt(s, params, config, safety, dt_max) for s in states), gap)
+            lands = dt >= gap * (1.0 - 1e-14)
+            if lands:
+                dt = gap
+            states = [step_euler(s, params, config, dt) for s in states]
+            if lands:
+                states = [SolverState(target, s.u) for s in states]
+            t = states[0].t
+            yield dt, states
 
 
 def _boundary_contact(u: GridFunction, u0_linf: float) -> bool:
@@ -546,10 +511,10 @@ def run(
     """Advance from ``initial`` to ``t_end``, landing exactly on snapshot times.
 
     The steps are those of :func:`march` with the snapshot times as targets.
-    Snapshots store copies of the state at exactly the requested times, and
-    every ``report_every``-th step gets a norm report.  If the state leaves
-    the finite range the run aborts, keeping the last good snapshot and
-    flagging the record.
+    Snapshots store writable copies of the state at exactly the requested
+    times, and every ``report_every``-th step gets a norm report, whose max
+    norm is the state's ``umax``.  If the state leaves the finite range the
+    run aborts, keeping the last good snapshot and flagging the record.
     """
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
@@ -567,13 +532,13 @@ def run(
     record = RunRecord(snapshots=[(0.0, initial.copy())])
     u0_linf = norm(initial, math.inf)
 
-    state = SolverState(0.0, initial)
+    state = SolverState(0.0, initial.copy())  # the last good state
     k = 0  # index of the next snapshot time
-    steps = _march([initial], params, config, snaps, safety, dt_max)
+    steps = march([initial], params, config, snaps, safety, dt_max)
     try:
-        for count, (dt, (state,), (umax,)) in enumerate(steps, 1):
+        for count, (dt, (state,)) in enumerate(steps, 1):
             if count % report_every == 0:
-                record.step_reports.append(_norms_report(state.t, dt, state.u, umax))
+                record.step_reports.append(_norms_report(dt, state))
             while k < len(snaps) and state.t >= snaps[k]:
                 record.snapshots.append((snaps[k], state.u.copy()))
                 if (u0_linf > 0.0 and not record.boundary_warning

@@ -13,11 +13,10 @@ import pytest
 from scipy.integrate import quad
 
 from augburgers import analysis, profile, scheme
-from augburgers.flux import FluxKind
 from augburgers.grid import GridFunction, make_grid, mass, norm, project_initial
 from augburgers.initial import sine_bumps
 from augburgers.kernel import build, choose_n
-from augburgers.scheme import CorrectorMode, PhysicalParams, SchemeConfig
+from augburgers.scheme import CorrectorMode, FluxKind, PhysicalParams, SchemeConfig
 
 NU, C, THETA = 1e-2, 2e-2, 1.0
 DX = 0.1
@@ -38,7 +37,7 @@ def report(number, description, ok, detail=""):
 def reference_setup(flux=FluxKind.ENGQUIST_OSHER, corrector=CorrectorMode.CORRECTED):
     grid = make_grid(X_LEFT, X_RIGHT, DX)
     quad_ = build(DX, THETA, choose_n(DX, THETA, TAIL_TOL))
-    params = PhysicalParams(nu=NU, c=C, theta=THETA)
+    params = PhysicalParams(nu=NU, c=C)
     config = SchemeConfig(
         flux=flux, quadrature=quad_, corrector_mode=corrector, grid=grid
     )
@@ -252,7 +251,7 @@ def test_criterion_04_rate_curves(main_run, mlf_run, naive_run, diffusive_wave):
 
 
 def test_criterion_05_wave_shape_comparison(initial_datum):
-    params = PhysicalParams(nu=1e-4, c=2e-4, theta=THETA)
+    params = PhysicalParams(nu=1e-4, c=2e-4)
     start = time.time()
     finals = {}
     for fk in (FluxKind.ENGQUIST_OSHER, FluxKind.MODIFIED_LAX_FRIEDRICHS):
@@ -429,7 +428,7 @@ def test_criterion_08_functional_inequalities():
 
 
 def test_criterion_09_self_convergence():
-    params = PhysicalParams(nu=NU, c=C, theta=THETA)
+    params = PhysicalParams(nu=NU, c=C)
     results = analysis.self_convergence(
         params,
         sine_bumps(),
@@ -437,6 +436,7 @@ def test_criterion_09_self_convergence():
         40.0,
         [0.2, 0.1, 0.05],
         t_check=1.0,
+        theta=THETA,
         tail_tol=TAIL_TOL,
         safety=SAFETY,
     )
@@ -455,7 +455,7 @@ def test_criterion_09_self_convergence():
 def test_criterion_10_order_preservation():
     grid = make_grid(-20.0, 20.0, DX)
     quad_ = build(DX, THETA, choose_n(DX, THETA, TAIL_TOL))
-    params = PhysicalParams(nu=NU, c=C, theta=THETA)
+    params = PhysicalParams(nu=NU, c=C)
     config = SchemeConfig(
         flux=FluxKind.ENGQUIST_OSHER,
         quadrature=quad_,

@@ -104,9 +104,8 @@ class TestMonitors:
         # reports are pairwise NumPy sums by design and grid.norm is exactly
         # rounded, so they agree to roundoff rather than bit for bit.
         from augburgers import scheme
-        from augburgers.flux import FluxKind
         from augburgers.kernel import build, choose_n
-        from augburgers.scheme import CorrectorMode, SchemeConfig
+        from augburgers.scheme import CorrectorMode, FluxKind, SchemeConfig
 
         g = make_grid(-20.0, 20.0, 0.25)
         quad = build(0.25, 1.0, choose_n(0.25, 1.0, 1e-6))
@@ -151,7 +150,7 @@ class TestRestriction:
 
 
 class TestSelfConvergence:
-    PARAMS = PhysicalParams(nu=1e-2, c=2e-2, theta=1.0)
+    PARAMS = PhysicalParams(nu=1e-2, c=2e-2)
 
     def test_identical_resolutions_give_zero(self):
         out = self_convergence(

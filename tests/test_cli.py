@@ -214,11 +214,14 @@ class TestRunCommand:
 
     def test_large_theta_runs_in_bounded_memory(self, tmp_path):
         # theta = 1e6 means N = 184,206,808 kernel terms; the grid reads 3199.
+        # The child reports its own peak RSS, VmHWM: on Linux a child's
+        # ru_maxrss starts from the peak of the process that started it.
         code = (
-            "import resource, sys\n"
+            "import sys\n"
             "from augburgers.cli import main\n"
             "rc = main(sys.argv[1:])\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print([l.split()[1] for l in fh if l.startswith('VmHWM:')][0])\n"
             "sys.exit(rc)\n"
         )
         res = _capped_python(
@@ -226,17 +229,18 @@ class TestRunCommand:
              "--snapshot-times", "1", "--out", str(tmp_path / "x")],
         )
         assert res.returncode == 0, res.stderr
-        assert int(res.stdout.split()[-1]) < 100 * 1024  # KiB on Linux
+        assert int(res.stdout.split()[-1]) < 100 * 1024  # kB
 
     def test_tiny_dx_fails_fast(self, tmp_path):
-        # dx = 1e-300 asks for 3.2e302 cells and 1.8e301 kernel terms.
+        # dx = 1e-300 asks for 3.2e302 cells, over the cap of 10^6.
         res = _capped_python(
             ["-m", "augburgers.cli", "run", "--dx", "1e-300", "--t-end", "1",
              "--snapshot-times", "1", "--out", str(tmp_path / "x")],
         )
-        assert res.returncode == 1
+        assert res.returncode == 2
         lines = res.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+        assert len(lines) == 1 and lines[0].startswith("config error: dx = 1e-300"), res.stderr
+        assert "1000000" in lines[0]
 
     def test_dx_must_divide_the_span(self, tmp_path, capsys):
         # 320 / 0.3 is no whole number of cells: the grid's own consistency
@@ -248,6 +252,12 @@ class TestRunCommand:
         assert rc == 2
         assert err.startswith("config error: dx = 0.3") and "inconsistent grid" in err
         assert not out.exists()
+
+    def test_cell_count_capped(self):
+        # 320 / 0.00032 is exactly the cap of 10^6 cells; half that dx is over.
+        assert parse_config("dx = 0.00032").dx == 0.00032
+        with pytest.raises(ConfigError, match=r"^dx = 0.00016: 2e\+06 cells .* cap of 1000000"):
+            parse_config("dx = 0.00016")
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         rc = main(["run", "--nu", "-3", "--out", str(tmp_path / "x")])
@@ -417,9 +427,11 @@ class TestSelfconvCommand:
             (["--dx-list", "0.3,0.15"], "dx_list"),
             (["--dx-list", "0.2"], "dx_list"),
             (["--dx-list", "0.3,0.2"], "dx_list"),
+            (["--dx-list", "0.00064,0.00032,0.00016"], "dx_list"),
         ],
         ids=["dx-zero", "t-check-nan", "t-check-negative", "t-check-inf",
-             "dx-not-dividing-span", "dx-one-size", "dx-not-halving"],
+             "dx-not-dividing-span", "dx-one-size", "dx-not-halving",
+             "dx-over-cell-cap"],
     )
     def test_bad_mesh_size_or_check_time_is_config_error(self, tmp_path, capsys, argv, key):
         # Both flags go through config parse rules, and the mesh sizes also

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from augburgers.flux import FluxKind, eo_flux
+from augburgers import scheme
 from augburgers.grid import Grid, GridFunction, make_grid, mass, norm
 from augburgers.kernel import build, choose_n
 from augburgers.scheme import (
     _BLOCK,
     _norms_report,
     CorrectorMode,
+    FluxKind,
     PhysicalParams,
     SchemeConfig,
     SolverAbort,
@@ -25,6 +26,11 @@ from augburgers.scheme import (
     stable_dt,
     step_euler,
 )
+
+
+def eo_flux(a, b):
+    """Engquist-Osher flux ``a(a-|a|)/4 + b(b+|b|)/4``, the literal oracle."""
+    return (a * (a - np.abs(a))) * 0.25 + (b * (b + np.abs(b))) * 0.25
 
 
 def make_setup(
@@ -39,7 +45,7 @@ def make_setup(
 ):
     grid = make_grid(0.0, span, dx)
     quad = build(dx, theta, choose_n(dx, theta, tail_tol))
-    params = PhysicalParams(nu=nu, c=c, theta=theta)
+    params = PhysicalParams(nu=nu, c=c)
     config = SchemeConfig(
         flux=flux, quadrature=quad, corrector_mode=corrector, grid=grid
     )
@@ -73,20 +79,44 @@ class TestParams:
                 grid=grid,
             )
 
-    @pytest.mark.parametrize("call", ["rhs", "stable_dt", "march"])
-    def test_mismatched_theta_rejected(self, call):
-        # The prefactors c/theta, c/theta^2 use params.theta, the weights and
-        # moments the quadrature's theta: the two must agree.
-        grid, _, config = make_setup(theta=1.0)
-        params = PhysicalParams(nu=1e-2, c=2e-2, theta=2.0)
-        state = interior_state(grid, np.random.default_rng(16), 10)
-        calls = {
-            "rhs": lambda: rhs(state, params, config),
-            "stable_dt": lambda: stable_dt(state, params, config, safety=0.9),
-            "march": lambda: next(march([state.u], params, config)),
-        }
-        with pytest.raises(ValueError, match="theta"):
-            calls[call]()
+
+def test_flux_kind_tags():
+    assert FluxKind("eo") is FluxKind.ENGQUIST_OSHER
+    assert FluxKind("mlf") is FluxKind.MODIFIED_LAX_FRIEDRICHS
+
+
+class TestSolverState:
+    def test_umax_is_max_abs(self):
+        grid = make_grid(0.0, 2.0, 0.25)
+        vals = np.array([0.0, 0.5, -1.5, 1.25, 0.0, -0.0, 2.0**-1074, 0.0])
+        assert SolverState(0.0, GridFunction(grid, vals)).umax == 1.5
+        zero = SolverState(0.0, GridFunction(grid, np.zeros(grid.num_cells)))
+        assert zero.umax == 0.0
+
+    def test_values_are_read_only(self):
+        grid = make_grid(0.0, 2.0, 0.25)
+        state = SolverState(0.0, GridFunction(grid, np.ones(grid.num_cells)))
+        with pytest.raises(ValueError, match="read-only"):
+            state.u.values[3] = 2.0
+        with pytest.raises(AttributeError):
+            state.umax = 2.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_abort(self, bad):
+        grid = make_grid(0.0, 2.0, 0.25)
+        vals = np.zeros(grid.num_cells)
+        vals[5] = bad
+        with pytest.raises(SolverAbort, match="cell 5"):
+            SolverState(0.0, GridFunction.from_checked(grid, vals))
+
+    def test_run_and_march_leave_initial_writable(self):
+        grid, params, config = make_setup()
+        vals = np.zeros(grid.num_cells)
+        vals[80:120] = 0.2
+        u0 = GridFunction(grid, vals)
+        run(u0, params, config, t_end=0.5)
+        next(march([u0], params, config))
+        u0.values[0] = 1.0  # raises if u0 was made read-only
 
 
 class TestRhs:
@@ -214,7 +244,7 @@ class TestRhs:
         assume(nu + c > 0.0)
         grid = make_grid(0.0, n * dx, dx)
         quad = build(dx, theta, n_terms)
-        params = PhysicalParams(nu=nu, c=c, theta=theta)
+        params = PhysicalParams(nu=nu, c=c)
         config = SchemeConfig(
             flux=flux, quadrature=quad, corrector_mode=corrector, grid=grid
         )
@@ -301,7 +331,7 @@ class TestRhs:
         n = n_terms + 40
         grid = make_grid(-15 * dx, (n - 15) * dx, dx)
         quad = build(dx, theta, n_terms)
-        params = PhysicalParams(nu=nu, c=c, theta=theta)
+        params = PhysicalParams(nu=nu, c=c)
         u = np.zeros(n)
         u[5:25] = np.random.default_rng(seed).uniform(-0.3, 1.0, 20)
         state = SolverState(0.0, GridFunction(grid, u))
@@ -334,7 +364,7 @@ class TestRhs:
                 quadrature=build(0.1, theta, choose_n(0.1, theta, 1e-8)),
                 corrector_mode=CorrectorMode.CORRECTED, grid=grid,
             )
-            rhs(state, PhysicalParams(nu=1e-2, c=2e-2, theta=theta), config)
+            rhs(state, PhysicalParams(nu=1e-2, c=2e-2), config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -353,7 +383,7 @@ class TestStableDt:
         # 1/dx term 1, laplacian term 2, kernel term c * sum (m+1) w_m.
         grid = make_grid(-60.0, 60.0, 0.1)
         quad = build(0.1, 1.0, 185)
-        params = PhysicalParams(nu=1e-2, c=2e-2, theta=1.0)
+        params = PhysicalParams(nu=1e-2, c=2e-2)
         config = SchemeConfig(
             flux=FluxKind.ENGQUIST_OSHER,
             quadrature=quad,
@@ -411,7 +441,7 @@ class TestStepEuler:
         # flux and laplacian contributions worked out by hand.
         grid = make_grid(0.0, 5.0, 1.0)
         quad = build(1.0, 1.0, 5)
-        params = PhysicalParams(nu=1.0, c=0.0, theta=1.0)
+        params = PhysicalParams(nu=1.0, c=0.0)
         config = SchemeConfig(
             flux=FluxKind.ENGQUIST_OSHER,
             quadrature=quad,
@@ -556,8 +586,7 @@ class TestStepReports:
             u = np.zeros_like(u)
         assume(u.size >= 2)
         grid = make_grid(0.0, u.size * dx, dx)
-        # The caller holds max|u|, as march does (its one reduction).
-        report = _norms_report(1.0, 0.1, GridFunction(grid, u), float(np.abs(u).max()))
+        report = _norms_report(0.1, SolverState(1.0, GridFunction(grid, u)))
         mass_x, l1_x, l2_x, linf_x = fsum_report(u, grid.dx)
         # A signed sum is only as accurate as its absolute sum allows.
         assert abs(report.mass_after - mass_x) <= 1e-14 * l1_x
@@ -651,9 +680,8 @@ class TestLockstep:
         assert times[-1] == targets[-1]
 
     def test_dt_is_min_stable_dt_capped_at_gap(self):
-        # march holds max|u| of the states it yields; every dt must still be
-        # the smallest stable_dt recomputed from those states, capped at the
-        # gap to the next target and landed on it exactly.
+        # Every dt is the smallest stable_dt of the states it steps from,
+        # capped at the gap to the next target and landed on it exactly.
         grid, params, config = make_setup(tail_tol=1e-6)
         u0 = interior_state(grid, np.random.default_rng(18), 20).u
         v0 = GridFunction(grid, -2.5 * u0.values)
@@ -671,6 +699,28 @@ class TestLockstep:
                 landings.append(states[0].t)
             prev = states
         assert landings == targets
+
+    def test_calls_stable_dt_and_step_euler_per_state_per_step(self, monkeypatch):
+        # Every bound and every step goes through the public functions, so a
+        # tracer that wraps them sees all of the stepping.
+        counts = {"stable_dt": 0, "step_euler": 0}
+
+        def counted(name):
+            original = getattr(scheme, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(scheme, name, wrapper)
+
+        counted("stable_dt")
+        counted("step_euler")
+        grid, params, config = make_setup()
+        u0 = interior_state(grid, np.random.default_rng(10), 20).u
+        v0 = GridFunction(grid, 0.5 * u0.values)
+        steps = list(itertools.islice(march([u0, v0], params, config, [2.0]), 6))
+        assert counts == {"stable_dt": 2 * len(steps), "step_euler": 2 * len(steps)}
 
     def test_open_ended_until_stopped(self):
         grid, params, config = make_setup()

@@ -1,5 +1,5 @@
-"""Post-processing: profile-error rates, decay monitors, convergence studies
-and executable forms of the discrete functional inequalities.
+"""Post-processing: profile-error rates, convergence studies and executable
+forms of the discrete functional inequalities.
 
 Everything here is a pure function of immutable run records and grid
 functions.
@@ -27,8 +27,6 @@ __all__ = [
     "NWaveDiagnostic",
     "InequalityCheck",
     "scaled_profile_error",
-    "decay_monitor",
-    "grad_decay_monitor",
     "restrict_pairwise",
     "check_nested",
     "self_convergence",
@@ -89,35 +87,6 @@ def scaled_profile_error(
         times.append(t)
         values.append(t ** _rate_exponent(p) * err)
     return RateSeries(p=p, times=np.asarray(times), values=np.asarray(values))
-
-
-def decay_monitor(record: RunRecord, p: float) -> list[tuple[float, float, float]]:
-    """Per-snapshot ``(t, ||u||_p, ||u||_p * t^((1/2)(1-1/p)) / ||u0||_1)``.
-
-    The third entry stays bounded for integrable data; its supremum is the
-    empirical decay constant for exponent p.
-    """
-    if not record.snapshots:
-        raise ValueError("record has no snapshots")
-    u0 = record.snapshots[0][1]
-    l1_0 = norm(u0, 1)
-    out = []
-    for t, u in record.snapshots:
-        n = norm(u, p)
-        if l1_0 == 0.0:
-            ratio = 0.0
-        else:
-            ratio = n * t ** _rate_exponent(p) / l1_0
-        out.append((t, n, ratio))
-    return out
-
-
-def grad_decay_monitor(record: RunRecord, p: float) -> list[tuple[float, float]]:
-    """Per-snapshot ``(t, ||d+ u||_p * t^((1/2)(1-1/p) + 1/2))``; bounded."""
-    if not record.snapshots:
-        raise ValueError("record has no snapshots")
-    expo = _rate_exponent(p) + 0.5
-    return [(t, norm(d_plus(u), p) * t**expo) for t, u in record.snapshots]
 
 
 def restrict_pairwise(w: GridFunction, coarse: Grid) -> GridFunction:

@@ -365,11 +365,10 @@ def cmd_run(config: ExperimentConfig) -> int:
         ["t", "x", "u"],
         (_snapshot_block(t, u) for t, u in record.snapshots),
     )
-    norm_rows = [(r.t, r.l1, r.l2, r.linf, r.mass_after) for r in record.step_reports]
     _write_float_csv(
         os.path.join(config.output_dir, "norms.csv"),
         ["t", "l1", "l2", "linf", "mass"],
-        [np.array(norm_rows, dtype=np.float64).reshape(-1, 5)],
+        [record.step_reports[:, [0, 3, 4, 5, 2]]],
     )
     _write_manifest(
         os.path.join(config.output_dir, "manifest.txt"),
@@ -437,6 +436,7 @@ def cmd_rates(config: ExperimentConfig) -> int:
         )
         aborted = aborted or record.aborted
         extras[f"{name}_aborted"] = record.aborted
+        extras[f"{name}_boundary_warning"] = record.boundary_warning
         # The wave is singular at t = 0, so only later snapshots are compared.
         later = replace(record, snapshots=[s for s in record.snapshots if s[0] > 0.0])
         for p, label in ((1.0, "1"), (2.0, "2"), (math.inf, "inf")):
@@ -491,6 +491,7 @@ def cmd_nwave(config: ExperimentConfig) -> int:
             (name, d.min, d.max, d.positive_mass, d.negative_mass, mass(u_final))
         )
         extras[f"{name}_aborted"] = record.aborted
+        extras[f"{name}_boundary_warning"] = record.boundary_warning
     _write_csv(
         os.path.join(config.output_dir, "nwave_diagnostics.csv"),
         ["variant", "min", "max", "positive_mass", "negative_mass", "mass"],

@@ -57,7 +57,6 @@ __all__ = [
     "PhysicalParams",
     "SchemeConfig",
     "SolverState",
-    "StepReport",
     "RunRecord",
     "StabilityError",
     "SolverAbort",
@@ -206,32 +205,21 @@ class SolverState:
         object.__setattr__(self, "umax", umax)
 
 
-@dataclass(frozen=True)
-class StepReport:
-    t: float
-    dt_used: float
-    mass_after: float
-    l1: float
-    l2: float
-    linf: float
-
-    def __post_init__(self) -> None:
-        if not self.dt_used > 0.0:
-            raise ValueError("dt_used must be positive")
-
-
 @dataclass
 class RunRecord:
-    """What a run produced: snapshots, per-step reports and two flags.
+    """What a run produced: snapshots, the step log and two flags.
 
-    ``aborted`` is set when the state left the finite range; the last
-    snapshot is then the last good state.  ``boundary_warning`` is set when
-    a snapshot found the solution at the edge of the domain.  The parameters
-    of the run are the caller's; the CLI writes them to its manifest.
+    ``step_reports`` is the step log: a read-only float64 array with one row
+    per kept step and the columns ``t, dt, mass, l1, l2, linf`` of the state
+    after the step.  ``aborted`` is set when the state left the finite
+    range; the last snapshot is then the last good state.
+    ``boundary_warning`` is set when a snapshot found the solution at the
+    edge of the domain.  The parameters of the run are the caller's; the
+    CLI writes them to its manifest.
     """
 
     snapshots: list[tuple[float, GridFunction]]
-    step_reports: list[StepReport] = field(default_factory=list)
+    step_reports: np.ndarray = field(default_factory=lambda: np.empty((0, 6)))
     aborted: bool = False
     boundary_warning: bool = False
 
@@ -408,25 +396,6 @@ def stable_dt(
     return min(_flux_headroom(config) * safety / denom, dt_max)
 
 
-def _norms_report(dt: float, state: SolverState) -> StepReport:
-    # One |u| pass and pairwise np.sum reductions: accurate to O(eps log n),
-    # far inside the 1e-12 monotonicity and 1e-8 mass tolerances.
-    # math.fsum costs 100x more once the tail decays into subnormals, so
-    # exactly rounded sums are left to grid.norm and grid.mass, which
-    # snapshot analysis uses.  The max norm is the state's umax.
-    u = state.u
-    dx = u.grid.dx
-    av = np.abs(u.values)
-    return StepReport(
-        t=state.t,
-        dt_used=dt,
-        mass_after=dx * float(np.sum(u.values)),
-        l1=dx * float(np.sum(av)),
-        l2=math.sqrt(dx * float(np.sum(av * av))),
-        linf=state.umax,
-    )
-
-
 def step_euler(
     state: SolverState,
     params: PhysicalParams,
@@ -498,6 +467,20 @@ def _boundary_contact(u: GridFunction, u0_linf: float) -> bool:
     return edge > _BOUNDARY_FRACTION * u0_linf
 
 
+def _log_sums(dt: float, state: SolverState) -> tuple:
+    """``(t, dt, sum u, sum |u|, sum u^2, max|u|)``, the raw row of the step log.
+
+    The pairwise sums are accurate to O(eps log n), far inside the 1e-12
+    monotonicity and 1e-8 mass tolerances; exactly rounded sums are left to
+    grid.norm and grid.mass, which snapshot analysis uses.  A function of
+    its own, so that no array outlives the row.
+    """
+    v = state.u.values
+    av = np.abs(v)
+    return (state.t, dt, np.add.reduce(v), np.add.reduce(av),
+            np.add.reduce(np.square(av, out=av)), state.umax)
+
+
 def run(
     initial: GridFunction,
     params: PhysicalParams,
@@ -512,9 +495,10 @@ def run(
 
     The steps are those of :func:`march` with the snapshot times as targets.
     Snapshots store writable copies of the state at exactly the requested
-    times, and every ``report_every``-th step gets a norm report, whose max
-    norm is the state's ``umax``.  If the state leaves the finite range the
-    run aborts, keeping the last good snapshot and flagging the record.
+    times, and every ``report_every``-th step adds a row to the step log
+    (see :class:`RunRecord`), whose max norm is the state's ``umax``.  If
+    the state leaves the finite range the run aborts, keeping the last good
+    snapshot and the log up to it, and flagging the record.
     """
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
@@ -531,27 +515,36 @@ def run(
 
     record = RunRecord(snapshots=[(0.0, initial.copy())])
     u0_linf = norm(initial, math.inf)
+    rows = []  # one tuple of _log_sums per kept step
 
     state = SolverState(0.0, initial.copy())  # the last good state
     k = 0  # index of the next snapshot time
     steps = march([initial], params, config, snaps, safety, dt_max)
-    try:
-        for count, (dt, (state,)) in enumerate(steps, 1):
-            if count % report_every == 0:
-                record.step_reports.append(_norms_report(dt, state))
-            while k < len(snaps) and state.t >= snaps[k]:
-                record.snapshots.append((snaps[k], state.u.copy()))
-                if (u0_linf > 0.0 and not record.boundary_warning
-                        and _boundary_contact(state.u, u0_linf)):
-                    record.boundary_warning = True
-                    warnings.warn(
-                        f"solution reached the domain boundary by t = {snaps[k]!r}; "
-                        "enlarge the domain for trustworthy long-time results",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                k += 1
-    except SolverAbort:
-        record.aborted = True
-        record.snapshots.append((state.t, state.u.copy()))
+    # rhs and SolverState detect non-finite values; NumPy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for count, (dt, (state,)) in enumerate(steps, 1):
+                if count % report_every == 0:
+                    rows.append(_log_sums(dt, state))
+                while k < len(snaps) and state.t >= snaps[k]:
+                    record.snapshots.append((snaps[k], state.u.copy()))
+                    if (u0_linf > 0.0 and not record.boundary_warning
+                            and _boundary_contact(state.u, u0_linf)):
+                        record.boundary_warning = True
+                        warnings.warn(
+                            f"solution reached the domain boundary by t = {snaps[k]!r}; "
+                            "enlarge the domain for trustworthy long-time results",
+                            RuntimeWarning,
+                            stacklevel=2,
+                        )
+                    k += 1
+        except SolverAbort:
+            record.aborted = True
+            record.snapshots.append((state.t, state.u.copy()))
+    log = np.array(rows, dtype=np.float64).reshape(-1, 6)
+    dx = config.grid.dx
+    log[:, 2:4] *= dx
+    log[:, 4] = np.sqrt(dx * log[:, 4])
+    log.setflags(write=False)
+    record.step_reports = log
     return record

@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 from augburgers import analysis, profile, scheme
-from augburgers.grid import GridFunction, make_grid, mass, norm, project_initial
+from augburgers.grid import GridFunction, d_plus, make_grid, mass, norm, project_initial
 from augburgers.initial import sine_bumps
 from augburgers.kernel import build, choose_n
 from augburgers.scheme import CorrectorMode, FluxKind, PhysicalParams, SchemeConfig
@@ -168,39 +168,35 @@ def test_criterion_01_mass_conservation(timed_main_run):
 
 
 def test_criterion_02_monotone_norms(main_run):
-    reports = main_run.step_reports
-    viol = 0.0
-    for prev, cur in zip(reports, reports[1:]):
-        viol = max(
-            viol, cur.l1 - prev.l1, cur.l2 - prev.l2, cur.linf - prev.linf
-        )
+    log = main_run.step_reports
+    viol = np.diff(log[:, 3:6], axis=0).max()
     ok = viol <= 1e-12
     report(
         2,
         "L1, L2 and Linf nonincreasing at every recorded step",
         ok,
-        f"worst per-step increase = {viol:.3e} over {len(reports)} steps",
+        f"worst per-step increase = {viol:.3e} over {len(log)} steps",
     )
 
 
 def test_criterion_02b_decay_monitors_bounded(main_run):
-    # Companion boundedness checks: scaled norm and gradient monitors stay
-    # within a factor 10 of their median over t in [1, 1e4].
+    # Companion boundedness checks: the scaled norms
+    # ||u||_p t^((1/2)(1-1/p)) and gradient norms ||d+ u||_p t^((1/2)(1-1/p)+1/2)
+    # stay within a factor 10 of their median over t in [1, 1e4].
+    snaps = [(t, u) for t, u in main_run.snapshots if t >= 1.0]
+    series = {}
+    for p in (1.0, 2.0, math.inf):
+        expo = 0.5 * (1.0 - 1.0 / p)
+        series[f"decay p={p:g}"] = [norm(u, p) * t**expo for t, u in snaps]
+    for p in (1.0, 2.0):
+        expo = 0.5 * (1.0 - 1.0 / p) + 0.5
+        series[f"grad p={p:g}"] = [norm(d_plus(u), p) * t**expo for t, u in snaps]
     ok = True
     details = []
-    for p in (1.0, 2.0, math.inf):
-        rows = [r for r in analysis.decay_monitor(main_run, p) if r[0] >= 1.0]
-        ratios = [r[2] for r in rows]
-        m = float(np.median(ratios))
-        worst = max(ratios) / m if m > 0 else math.inf
-        details.append(f"decay p={p:g}: max/med = {worst:.2f}")
-        ok = ok and worst <= 10.0
-    for p in (1.0, 2.0):
-        rows = [r for r in analysis.grad_decay_monitor(main_run, p) if r[0] >= 1.0]
-        vals = [v for _, v in rows]
+    for label, vals in series.items():
         m = float(np.median(vals))
         worst = max(vals) / m if m > 0 else math.inf
-        details.append(f"grad p={p:g}: max/med = {worst:.2f}")
+        details.append(f"{label}: max/med = {worst:.2f}")
         ok = ok and worst <= 10.0
     report(2, "decay and gradient monitors bounded (max/median <= 10)", ok,
            "; ".join(details))

@@ -242,6 +242,19 @@ class TestRunCommand:
         assert len(lines) == 1 and lines[0].startswith("config error: dx = 1e-300"), res.stderr
         assert "1000000" in lines[0]
 
+    def test_overflow_aborts_without_numpy_warnings(self, tmp_path):
+        # u^2 overflows in the first flux evaluation; the run's own checks
+        # report it, so stderr holds the abort line only.
+        res = _capped_python(
+            ["-m", "augburgers.cli", "run", "--initial-data", "gaussian:1e300,1",
+             "--t-end", "1", "--snapshot-times", "1", "--out", str(tmp_path / "x")],
+        )
+        assert res.returncode == 1
+        assert "RuntimeWarning" not in res.stderr
+        assert res.stderr.splitlines() == [
+            "run aborted: non-finite state; last good snapshot kept"
+        ]
+
     def test_dx_must_divide_the_span(self, tmp_path, capsys):
         # 320 / 0.3 is no whole number of cells: the grid's own consistency
         # rule, reported as a config error before any output.
@@ -326,6 +339,23 @@ class TestRatesCommand:
             warnings.simplefilter("error")
             assert main(argv) == 0
 
+    @pytest.mark.filterwarnings("ignore:solution reached the domain boundary")
+    def test_boundary_flag_per_variant(self, tmp_path):
+        # On the reference domain to t = 1 no variant reaches the edge; on
+        # the short SMALL domain the memory tail reaches it in every one.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(SMALL + "t_end = 10\nsnapshot_times =\n")
+        runs = {
+            "false": ["--t-end", "1", "--snapshot-times", "1"],
+            "true": ["--config", str(cfg)],
+        }
+        for flag, argv in runs.items():
+            out = tmp_path / flag
+            assert main(["rates", *argv, "--out", str(out)]) == 0
+            manifest = read(out / "manifest.txt").splitlines()
+            for name, _, _ in cli._RATE_VARIANTS:
+                assert f"{name}_boundary_warning = {flag}" in manifest
+
     def test_ignores_snapshot_times(self, tmp_path):
         # rates compares on its own time grid, so the default snapshot times
         # past a short t_end are not an error and change nothing, not even
@@ -384,7 +414,9 @@ class TestNwaveCommand:
         assert abs(eo[4] - 0.15) <= 1e-8 and abs(mlf[4] - 0.15) <= 1e-8
         assert os.path.exists(out / "snapshots_eo.csv")
         assert os.path.exists(out / "snapshots_mlf.csv")
-        assert manifest_keys(out / "manifest.txt").issuperset(QUADRATURE_KEYS)
+        keys = manifest_keys(out / "manifest.txt")
+        assert keys.issuperset(QUADRATURE_KEYS)
+        assert keys.issuperset({"eo_boundary_warning", "mlf_boundary_warning"})
 
 
 class TestSelfconvCommand:

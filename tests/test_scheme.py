@@ -12,7 +12,6 @@ from augburgers.grid import Grid, GridFunction, make_grid, mass, norm
 from augburgers.kernel import build, choose_n
 from augburgers.scheme import (
     _BLOCK,
-    _norms_report,
     CorrectorMode,
     FluxKind,
     PhysicalParams,
@@ -563,6 +562,8 @@ def fsum_report(u, dx):
 
 
 class TestStepReports:
+    # The data reach the edges of the grid.
+    @pytest.mark.filterwarnings("ignore:solution reached the domain boundary")
     @settings(max_examples=200, deadline=None)
     @given(
         n_bulk=st.integers(0, 300),
@@ -585,27 +586,33 @@ class TestStepReports:
         if zero:
             u = np.zeros_like(u)
         assume(u.size >= 2)
-        grid = make_grid(0.0, u.size * dx, dx)
-        report = _norms_report(0.1, SolverState(1.0, GridFunction(grid, u)))
-        mass_x, l1_x, l2_x, linf_x = fsum_report(u, grid.dx)
+        grid, params, config = make_setup(dx=dx, span=u.size * dx)
+        # One step, of the stable size, lands on t_end: the log's one row
+        # describes the final snapshot.
+        t_end = stable_dt(SolverState(0.0, GridFunction(grid, u)), params, config, 0.9)
+        record = run(GridFunction(grid, u), params, config, t_end=t_end)
+        (row,) = record.step_reports
+        t, dt, mass_r, l1, l2, linf = row
+        assert t == dt == t_end
+        mass_x, l1_x, l2_x, linf_x = fsum_report(record.snapshots[-1][1].values, grid.dx)
         # A signed sum is only as accurate as its absolute sum allows.
-        assert abs(report.mass_after - mass_x) <= 1e-14 * l1_x
-        assert report.l1 == pytest.approx(l1_x, rel=1e-14, abs=0.0)
-        assert report.l2 == pytest.approx(l2_x, rel=1e-14, abs=0.0)
-        assert report.linf == linf_x
+        assert abs(mass_r - mass_x) <= 1e-14 * l1_x
+        assert l1 == pytest.approx(l1_x, rel=1e-14, abs=0.0)
+        assert l2 == pytest.approx(l2_x, rel=1e-14, abs=0.0)
+        assert linf == linf_x
 
     def test_stepped_reports_match_fsum_oracle(self):
         grid, params, config = make_setup(dx=0.1, span=20.0, tail_tol=1e-6)
         u0 = interior_state(grid, np.random.default_rng(17), 5).u
         record = run(u0, params, config, t_end=5.0, snapshot_times=[5.0])
         t_end, u_end = record.snapshots[-1]
-        last = record.step_reports[-1]
-        assert last.t == t_end
+        t, _, mass_r, l1, l2, linf = record.step_reports[-1]
+        assert t == t_end
         mass_x, l1_x, l2_x, linf_x = fsum_report(u_end.values, grid.dx)
-        assert abs(last.mass_after - mass_x) <= 1e-14 * l1_x
-        assert last.l1 == pytest.approx(l1_x, rel=1e-14, abs=0.0)
-        assert last.l2 == pytest.approx(l2_x, rel=1e-14, abs=0.0)
-        assert last.linf == linf_x
+        assert abs(mass_r - mass_x) <= 1e-14 * l1_x
+        assert l1 == pytest.approx(l1_x, rel=1e-14, abs=0.0)
+        assert l2 == pytest.approx(l2_x, rel=1e-14, abs=0.0)
+        assert linf == linf_x
 
     # The memory term carries a tiny tail to the edges of this short domain.
     @pytest.mark.filterwarnings("ignore:solution reached the domain boundary")
@@ -617,7 +624,7 @@ class TestStepReports:
         every = run(u0, params, config, **kwargs).step_reports
         kept = run(u0, params, config, report_every=k, **kwargs).step_reports
         assert len(every) > 3 * k
-        assert kept == every[k - 1 :: k]
+        assert np.array_equal(kept, every[k - 1 :: k])
 
 
 class TestRun:
@@ -627,6 +634,7 @@ class TestRun:
         record = run(u0, params, config, t_end=0.0)
         assert len(record.snapshots) == 1
         assert record.snapshots[0][0] == 0.0
+        assert record.step_reports.shape == (0, 6)
 
     def test_snapshots_landed_exactly(self):
         grid, params, config = make_setup(dx=0.1, span=10.0)
@@ -642,8 +650,8 @@ class TestRun:
         rng = np.random.default_rng(9)
         u0 = interior_state(grid, rng, 5).u
         record = run(u0, params, config, t_end=5.0)
-        l1 = [r.l1 for r in record.step_reports]
-        assert all(b <= a + 1e-12 for a, b in zip(l1, l1[1:]))
+        l1 = record.step_reports[:, 3]
+        assert np.diff(l1).max() <= 1e-12
 
     def test_rejects_snapshot_outside_horizon(self):
         grid, params, config = make_setup()
@@ -659,6 +667,26 @@ class TestRun:
         record = run(u0, params, config, t_end=10.0)
         assert record.aborted
         assert len(record.snapshots) >= 1
+        assert record.step_reports[:, 0].max(initial=0.0) <= record.snapshots[-1][0]
+
+    def test_abort_mid_run_keeps_log_to_last_good_state(self, monkeypatch):
+        grid, params, config = make_setup(dx=0.1, span=20.0, tail_tol=1e-6)
+        u0 = interior_state(grid, np.random.default_rng(9), 5).u
+        real = scheme.step_euler
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 6:
+                raise SolverAbort("injected")
+            return real(*args)
+
+        monkeypatch.setattr(scheme, "step_euler", failing)
+        record = run(u0, params, config, t_end=5.0)
+        assert record.aborted
+        last_t = record.snapshots[-1][0]
+        assert record.step_reports.shape == (5, 6)
+        assert record.step_reports[-1, 0] == last_t > 0.0
 
 
 class TestLockstep:

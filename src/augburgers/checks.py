@@ -3,13 +3,17 @@
 Each suite is declared once in :data:`SUITES` as
 ``name: (generate, check, default_cases, ranges)``.  ``ranges`` gives every
 case key its closed range ``(lo, hi)``, with int bounds for an integer key;
-``generate(rng, ranges)`` draws one case inside it and ``check(case)``
-returns ``(ok, detail)``.  A case holds plain numbers only, so a failing one
-serializes to JSON and replays exactly.
+``generate(rng, ranges)`` draws one case inside it and ``check(cases)``
+returns one ``(ok, detail)`` per case of a list.  The stepped suites march
+their cases as blocks of independent cases (:func:`augburgers.scheme.march`),
+so a case is checked the same, to roundoff, alone or among others.  A case
+holds plain numbers only, so a failing one serializes to JSON and replays
+exactly, as a list of one case.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -69,6 +73,17 @@ def _draw(rng, ranges) -> dict:
     return case
 
 
+def _per_case(check):
+    """A check of a list of cases from a check of one case."""
+
+    @functools.wraps(check)
+    def each(cases):
+        return [check(case) for case in cases]
+
+    return each
+
+
+@_per_case
 def _check_kernel_closed_forms(case) -> tuple[bool, str]:
     # The closed-form moments against exactly rounded sums of the weights.
     dx, theta, n = case["dx"], case["theta"], case["n"]
@@ -82,67 +97,133 @@ def _check_kernel_closed_forms(case) -> tuple[bool, str]:
     return ok, f"rel errors {err0:.3e}, {err1:.3e}"
 
 
-def _check_mass_conservation(case) -> tuple[bool, str]:
+# Cells (cases x states x widest grid) of one stepped block.  The budget is
+# in cells because of peak RSS on the check-suite benchmark: blocks of all 40
+# cases of a suite read 45.0 MB where one case at a time read 41.1 MB, and
+# fixed 8-case blocks up to 0.77 MB more than that (before the Gauss-Legendre
+# rule stopped importing numpy.polynomial), since the mass-conservation grids
+# are about twice as wide as the others.  At 4096 cells a stepped suite's
+# traced peak is at most 0.6 MB, below the 0.76 MB that import took.
+_BLOCK_CELLS = 4096
+
+# Steps of every stepped suite.
+_STEPS = 25
+
+
+def _blocks(cases, setup):
+    """The problems ``setup(case) -> (initial states, params, config)`` of
+    the cases, built one at a time and grouped in order into blocks of at
+    most _BLOCK_CELLS cells; a larger problem is a block of its own."""
+    block, width = [], 0
+    for case in cases:
+        problem = setup(case)
+        states, _, config = problem
+        wider = max(width, config.grid.num_cells)
+        if block and (len(block) + 1) * len(states) * wider > _BLOCK_CELLS:
+            yield block
+            block, wider = [], config.grid.num_cells
+        block.append(problem)
+        width = wider
+    if block:
+        yield block
+
+
+def _in_blocks(setup):
+    """A check of a list of cases from a check of one block of problems,
+    which marches them together (:func:`_stepped`); each block's arrays are
+    gone before the next block is built."""
+
+    def wrap(check_block):
+        @functools.wraps(check_block)
+        def check(cases):
+            return [r for problems in _blocks(cases, setup) for r in check_block(problems)]
+
+        return check
+
+    return wrap
+
+
+def _stepped(problems):
+    """The blocks after each of the first _STEPS steps of the problems."""
+    states, params, configs = zip(*problems)
+    return itertools.islice(scheme.march(states, params, configs), _STEPS)
+
+
+def _one_state(case, tail_tol=1e-6, extra_margin=4):
     rng = np.random.default_rng(case["case_seed"])
-    params, config, state0 = _setup_for_case(rng, tail_tol=1e-10, extra_margin=30)
-    m0 = mass(state0)
-    dx = config.grid.dx
-    worst = 0.0
-    for _, (st,) in itertools.islice(scheme.march([state0], params, config), 25):
-        worst = max(worst, abs(dx * float(np.sum(st.u.values)) - m0))
-    ok = worst <= 1e-12 * max(1.0, abs(m0))
-    return ok, f"max drift {worst:.3e}"
+    params, config, state0 = _setup_for_case(rng, tail_tol, extra_margin)
+    return [state0], params, config
 
 
-def _check_l1_contraction(case) -> tuple[bool, str]:
+@_in_blocks(functools.partial(_one_state, tail_tol=1e-10, extra_margin=30))
+def _check_mass_conservation(problems) -> list[tuple[bool, str]]:
+    m0 = np.array([mass(states[0]) for states, _, _ in problems])
+    dx = np.array([config.grid.dx for _, _, config in problems])
+    worst = np.zeros(len(problems))
+    for _, block in _stepped(problems):
+        np.maximum(worst, np.abs(dx * block.u[:, 0].sum(axis=1) - m0), out=worst)
+    return [
+        (w <= 1e-12 * max(1.0, abs(m)), f"max drift {w:.3e}")
+        for w, m in zip(worst.tolist(), m0.tolist())
+    ]
+
+
+def _scaled_pair(case):
     rng = np.random.default_rng(case["case_seed"])
     params, config, u = _setup_for_case(rng)
     v = GridFunction(u.grid, u.values * float(rng.uniform(0.2, 0.9)))
-    dist = norm(GridFunction(u.grid, u.values - v.values), 1)
-    ok = True
-    worst = 0.0
-    for _, (su, sv) in itertools.islice(scheme.march([u, v], params, config), 25):
-        new = norm(GridFunction(u.grid, su.u.values - sv.u.values), 1)
-        if new > dist + 1e-12:
-            ok = False
-        worst = max(worst, new - dist)
-        dist = new
-    return ok, f"max per-step growth {worst:.3e}"
+    return [u, v], params, config
 
 
-def _check_lp_monotone(case) -> tuple[bool, str]:
-    rng = np.random.default_rng(case["case_seed"])
-    params, config, state0 = _setup_for_case(rng)
-    dx = config.grid.dx
-    prev = (norm(state0, 1), norm(state0, 2), norm(state0, math.inf))
-    ok = True
-    for _, (st,) in itertools.islice(scheme.march([state0], params, config), 25):
-        av = np.abs(st.u.values)
-        cur = (
-            dx * float(np.sum(av)),
-            math.sqrt(dx * float(np.sum(av * av))),
-            float(av.max(initial=0.0)),
-        )
-        if any(c > p + 1e-12 for c, p in zip(cur, prev)):
-            ok = False
+@_in_blocks(_scaled_pair)
+def _check_l1_contraction(problems) -> list[tuple[bool, str]]:
+    grids = [config.grid for _, _, config in problems]
+    dist = [norm(GridFunction(u.grid, u.values - v.values), 1) for (u, v), _, _ in problems]
+    ok = [True] * len(problems)
+    worst = [0.0] * len(problems)
+    for _, block in _stepped(problems):
+        diff = block.u[:, 0] - block.u[:, 1]
+        for i, grid in enumerate(grids):
+            new = norm(GridFunction.from_checked(grid, diff[i, : grid.num_cells]), 1)
+            if new > dist[i] + 1e-12:
+                ok[i] = False
+            worst[i] = max(worst[i], new - dist[i])
+            dist[i] = new
+    return [(o, f"max per-step growth {w:.3e}") for o, w in zip(ok, worst)]
+
+
+@_in_blocks(_one_state)
+def _check_lp_monotone(problems) -> list[tuple[bool, str]]:
+    dx = np.array([config.grid.dx for _, _, config in problems])
+    # Rows L1, L2, Linf; one column per case.
+    prev = np.array([[norm(s, 1), norm(s, 2), norm(s, math.inf)] for (s,), _, _ in problems]).T
+    ok = np.ones(len(problems), dtype=bool)
+    for _, block in _stepped(problems):
+        av = np.abs(block.u[:, 0])
+        cur = np.array([dx * av.sum(axis=1), np.sqrt(dx * (av * av).sum(axis=1)), av.max(axis=1)])
+        ok &= ~(cur > prev + 1e-12).any(axis=0)
         prev = cur
-    return ok, "L1/L2/Linf nonincreasing" if ok else "norm increased"
+    return [(o, "L1/L2/Linf nonincreasing" if o else "norm increased") for o in ok.tolist()]
 
 
-def _check_order_preservation(case) -> tuple[bool, str]:
+def _bumped_pair(case):
     rng = np.random.default_rng(case["case_seed"])
     params, config, u = _setup_for_case(rng)
     bump = np.zeros_like(u.values)
     k = u.grid.num_cells // 2
     bump[k - 20 : k + 20] = 0.2 * rng.random(40)
-    v = GridFunction(u.grid, u.values + bump)
-    worst = 0.0
-    for _, (su, sv) in itertools.islice(scheme.march([u, v], params, config), 25):
-        worst = max(worst, float((su.u.values - sv.u.values).max(initial=0.0)))
-    ok = worst <= 1e-12
-    return ok, f"max ordering violation {worst:.3e}"
+    return [u, GridFunction(u.grid, u.values + bump)], params, config
 
 
+@_in_blocks(_bumped_pair)
+def _check_order_preservation(problems) -> list[tuple[bool, str]]:
+    worst = np.zeros(len(problems))
+    for _, block in _stepped(problems):
+        np.maximum(worst, (block.u[:, 0] - block.u[:, 1]).max(axis=1), out=worst)
+    return [(w <= 1e-12, f"max ordering violation {w:.3e}") for w in worst.tolist()]
+
+
+@_per_case
 def _check_gns(case) -> tuple[bool, str]:
     rng = np.random.default_rng(case["case_seed"])
     n = int(rng.integers(3, 201))
@@ -163,11 +244,13 @@ def _draw_gns(rng, ranges) -> dict:
     return case
 
 
+@_per_case
 def _check_series(case) -> tuple[bool, str]:
     res = analysis.series_lemma_check(case["a"], case["phi"], case["n"])
     return res.holds, f"lhs {res.lhs:.3e} vs rhs {res.rhs:.3e}"
 
 
+@_per_case
 def _check_profile_mass(case) -> tuple[bool, str]:
     wave = profile.AsymptoticProfile(mass=case["mass"], viscosity=case["viscosity"])
     t = case["t"]
@@ -187,6 +270,7 @@ def _draw_profile_mass(rng, ranges) -> dict:
     return case
 
 
+@_per_case
 def _check_profile_residual(case) -> tuple[bool, str]:
     wave = profile.AsymptoticProfile(mass=case["mass"], viscosity=case["viscosity"])
     t, x = case["t"], case["x"]
@@ -244,13 +328,17 @@ SUITES = {
 
 
 def run_suite(name: str, rng, count: int) -> list[dict]:
-    """Draw ``count`` cases of suite ``name`` from ``rng``, check each and
-    return the failing ones as ``{"suite", "case", "detail"}`` records."""
+    """Draw ``count`` cases of suite ``name`` from ``rng``, then check them
+    all in one call and return the failing ones as
+    ``{"suite", "case", "detail"}`` records.
+
+    No check draws from ``rng``, so drawing first leaves every case as it
+    was; the stepped suites march their cases in blocks (see
+    :data:`_BLOCK_CELLS`)."""
     generate, check, _, ranges = SUITES[name]
-    failures = []
-    for _ in range(count):
-        case = generate(rng, ranges)
-        ok, detail = check(case)
-        if not ok:
-            failures.append({"suite": name, "case": case, "detail": detail})
-    return failures
+    cases = [generate(rng, ranges) for _ in range(count)]
+    return [
+        {"suite": name, "case": case, "detail": detail}
+        for case, (ok, detail) in zip(cases, check(cases))
+        if not ok
+    ]

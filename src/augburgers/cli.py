@@ -443,6 +443,8 @@ def cmd_rates(config: ExperimentConfig) -> int:
             series = analysis.scaled_profile_error(later, wave, p, samples=samples)
             for t, value in zip(series.times, series.values):
                 rows.append((t, name, label, value))
+        # Drop this variant's snapshots before the next run makes its own.
+        del record, later
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     _write_csv(
         os.path.join(config.output_dir, "rates.csv"),
@@ -623,7 +625,7 @@ def cmd_check(config: ExperimentConfig, replay: str | None, cases: int | None) -
     os.makedirs(config.output_dir, exist_ok=True)
     if replay is not None:
         suite, case = _load_replay(replay, checks.SUITES)
-        ok, detail = checks.SUITES[suite][1](case)
+        ((ok, detail),) = checks.SUITES[suite][1]([case])
         status = "pass" if ok else "FAIL"
         print(f"replay {suite}: {status} ({detail})")
         print(f"case: {json.dumps(case, sort_keys=True)}")

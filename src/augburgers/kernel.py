@@ -39,9 +39,11 @@ at least 1/27.  So nothing cancels as N*h goes to 0, and moment2 is exactly
 0 at N = 1.
 
 :class:`KernelQuadrature` stores no weights: N grows like theta/dx, and the
-scheme needs only q, p and N (its memory sum is their recurrence, see
-:mod:`augburgers.scheme`).  :meth:`KernelQuadrature.weights` builds a head of
-them for checks.
+scheme needs only q, p and N.  Its memory sum is their recurrence
+``y_j = q y_{j-1} + x_j`` (see :mod:`augburgers.scheme`), which
+:func:`_recurrence` runs blocked, as products with the triangular Toeplitz
+matrices of :func:`_levels`.  :meth:`KernelQuadrature.weights` builds a head
+of the weights for checks.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ __all__ = [
 
 # Default bound on the kernel mass neglected by the truncation.
 DEFAULT_TAIL_TOL = 1e-8
+
+# Entries per block of the blocked recurrence.
+_BLOCK = 32
 
 
 def _mesh_ratio(dx: float, theta: float) -> float:
@@ -162,3 +167,69 @@ def choose_n(dx: float, theta: float, tail_tol: float) -> int:
         if math.exp(-n * h) > tail_tol:
             n += 1
     return n
+
+
+def _levels(quadratures, width: int) -> tuple:
+    """``(T, e, carries)`` per level of :func:`_recurrence` for the ratios
+    ``q = exp(-dx/theta)`` of one or more quadratures (cases), on inputs of
+    at most ``width`` entries padded to whole blocks.
+
+    Level k has ratio ``exp(-span)`` with ``span = _BLOCK^k dx/theta``,
+    which the carries between the blocks of level k - 1 obey:
+    ``T[a, b] = exp(-(b - a) span)`` for ``a <= b``, else 0, gives a block's
+    outputs from a zero start, and ``e[a] = exp(-(_BLOCK - a) span)`` its
+    last output times ``exp(-span)``.
+    T is cut to the largest input of its level.  A case whose carries
+    underflow (``e[0] == 0``) skips them, and the levels stop where one
+    block holds a level's input or no case has carries:
+    ``O(_BLOCK^2 log width)`` memory per case.  One case gets a 2-D T and a
+    1-D e, several ``(cases, 1, ., .)`` stacks that broadcast over states.
+    """
+    span = np.array([q.dx / q.theta for q in quadratures]).reshape(-1, 1, 1, 1)
+    d = np.arange(_BLOCK, dtype=np.float64)
+    lag = d[None, :] - d[:, None]
+    lag = np.where(lag >= 0.0, lag, np.inf)
+    levels = []
+    size = -(-width // _BLOCK) * _BLOCK
+    while True:
+        cut = min(size, _BLOCK)
+        t = np.exp(-lag[:cut, :cut] * span)
+        e = None
+        if size > _BLOCK:
+            e = np.exp(-(_BLOCK - d)[:, None] * span)
+            e[e[:, 0, 0, 0] == 0.0] = 0.0
+        carries = e is not None and bool(e.any())
+        if len(quadratures) == 1:
+            t, e = t[0, 0], None if e is None else e[0, 0, :, 0]
+        levels.append((t, e, carries))
+        if not carries:
+            return tuple(levels)
+        size = -(-size // _BLOCK)
+        span = span * _BLOCK
+
+
+def _recurrence(x: np.ndarray, levels, level: int = 0) -> np.ndarray:
+    """``y_j = r y_{j-1} + x_j`` along the last axis of ``x`` from
+    ``y_{-1} = 0``, with ``r`` the ratio of ``levels[level]``; for levels of
+    several quadratures the first axis of ``x`` is theirs.  ``x`` is
+    overwritten.
+
+    A block's outputs are its inputs times the level's matrix once r times
+    the previous block's last output is added to its first input.  Those
+    carries obey the same recurrence one level up, on the inputs times e.
+    """
+    t, e, carries = levels[level]
+    n = x.shape[-1]
+    if n <= _BLOCK:
+        if t.ndim == 2:
+            return x @ t[:n, :n]
+        return (x[..., None, :] @ t[..., :n, :n])[..., 0, :]
+    lead = x.shape[:-1]
+    nb = -(-n // _BLOCK)
+    if nb * _BLOCK != n:
+        x = np.concatenate((x, np.zeros(lead + (nb * _BLOCK - n,))), axis=-1)
+    rows = x.reshape(lead + (nb, _BLOCK))
+    if carries:
+        carry = _recurrence((rows @ e).reshape(lead + (nb,)), levels, level + 1)
+        rows[..., 1:, 0] += carry[..., :-1]
+    return (rows @ t).reshape(lead + (-1,))[..., :n]

@@ -268,3 +268,23 @@ class TestSeriesBound:
             phi = float(rng.uniform(-math.pi, math.pi))
             n = int(rng.integers(1, 101))
             assert series_lemma_check(a, phi, n).holds
+
+
+class TestGaussLegendreRule:
+    def test_matches_leggauss(self):
+        from augburgers.analysis import _GL_NODES, _gauss_legendre
+
+        nodes, weights = _gauss_legendre()
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(_GL_NODES)
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.abs(nodes - ref_nodes).max() <= 4e-16
+        assert np.abs(weights - ref_weights).max() <= 1e-15
+        assert math.fsum(weights.tolist()) == pytest.approx(2.0, rel=1e-15)
+
+    def test_integrates_degree_19_exactly(self):
+        from augburgers.analysis import _gauss_legendre
+
+        nodes, weights = _gauss_legendre()
+        for k in range(20):
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert float(weights @ nodes**k) == pytest.approx(exact, abs=1e-14)

@@ -631,8 +631,8 @@ class TestCheckCommand:
         def generate(rng, ranges):
             return {"value": 42}
 
-        def check(case):
-            return case["value"] != 42, "forced failure"
+        def check(cases):
+            return [(case["value"] != 42, "forced failure") for case in cases]
 
         monkeypatch.setattr(
             checks, "SUITES", {"forced": (generate, check, 1, {"value": (0, 99)})},
@@ -866,7 +866,7 @@ class TestProfileMassQuadrature:
         val = analysis.profile_integral(wave, t, lim)
         assert val is not None
         assert abs(val - self.quad_oracle(wave, t, lim)) <= 1e-9
-        ok, message = checks._check_profile_mass(case)
+        ((ok, message),) = checks._check_profile_mass([case])
         assert ok, message
 
     @pytest.mark.parametrize(
@@ -883,6 +883,6 @@ class TestProfileMassQuadrature:
         from augburgers import profile
 
         monkeypatch.setattr(profile, "eval", fake_eval)
-        ok, message = checks._check_profile_mass({"mass": 1.0, "viscosity": 1.0, "t": 1.0})
+        ((ok, message),) = checks._check_profile_mass([{"mass": 1.0, "viscosity": 1.0, "t": 1.0}])
         assert not ok
         assert "did not converge" in message

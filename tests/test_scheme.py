@@ -58,6 +58,14 @@ def interior_state(grid, rng, margin, amp=0.3):
     return SolverState(0.0, GridFunction(grid, vals))
 
 
+def states_of(block, grid, case=0):
+    """The states of one case of a march's block, on its own grid."""
+    return [
+        SolverState(block.t[case], GridFunction(grid, row[: grid.num_cells]))
+        for row in block.u[case]
+    ]
+
+
 class TestParams:
     def test_rejects_both_coefficients_zero(self):
         with pytest.raises(ValueError):
@@ -668,6 +676,8 @@ class TestRun:
         assert record.aborted
         assert len(record.snapshots) >= 1
         assert record.step_reports[:, 0].max(initial=0.0) <= record.snapshots[-1][0]
+        times = [t for t, _ in record.snapshots]
+        assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_abort_mid_run_keeps_log_to_last_good_state(self, monkeypatch):
         grid, params, config = make_setup(dx=0.1, span=20.0, tail_tol=1e-6)
@@ -698,7 +708,8 @@ class TestLockstep:
         targets = [0.37, 1.0, 2.25]
         prev = [SolverState(0.0, u0), SolverState(0.0, v0)]
         times = []
-        for dt, states in march([u0, v0], params, config, targets, dt_max=10.0):
+        for (dt,), block in march([u0, v0], params, config, targets, dt_max=10.0):
+            states = states_of(block, grid)
             bound = min(stable_dt(s, params, config, 0.9, 10.0) for s in prev)
             assert dt == bound or (dt < bound and states[0].t in targets)
             assert states[0].t == states[1].t
@@ -716,7 +727,8 @@ class TestLockstep:
         targets = [0.37, 1.0, 2.25]
         prev = [SolverState(0.0, u0), SolverState(0.0, v0)]
         landings = []
-        for dt, states in march([u0, v0], params, config, targets, dt_max=10.0):
+        for (dt,), block in march([u0, v0], params, config, targets, dt_max=10.0):
+            states = states_of(block, grid)
             t = prev[0].t
             gap = min(x for x in targets if x > t) - t
             bound = min(stable_dt(s, params, config, 0.9, 10.0) for s in prev)
@@ -728,9 +740,9 @@ class TestLockstep:
             prev = states
         assert landings == targets
 
-    def test_calls_stable_dt_and_step_euler_per_state_per_step(self, monkeypatch):
-        # Every bound and every step goes through the public functions, so a
-        # tracer that wraps them sees all of the stepping.
+    def test_calls_stable_dt_and_step_euler_per_block_step(self, monkeypatch):
+        # Every bound and every step of a block goes through the public
+        # functions, so a tracer that wraps them sees all of the stepping.
         counts = {"stable_dt": 0, "step_euler": 0}
 
         def counted(name):
@@ -748,14 +760,19 @@ class TestLockstep:
         u0 = interior_state(grid, np.random.default_rng(10), 20).u
         v0 = GridFunction(grid, 0.5 * u0.values)
         steps = list(itertools.islice(march([u0, v0], params, config, [2.0]), 6))
-        assert counts == {"stable_dt": 2 * len(steps), "step_euler": 2 * len(steps)}
+        assert counts == {"stable_dt": len(steps), "step_euler": len(steps)}
+        counts.update(stable_dt=0, step_euler=0)
+        cases = [[u0, v0], [v0, u0], [u0, u0]]
+        steps = list(itertools.islice(march(cases, [params] * 3, [config] * 3), 4))
+        assert counts == {"stable_dt": len(steps), "step_euler": len(steps)}
 
     def test_open_ended_until_stopped(self):
         grid, params, config = make_setup()
         u0 = interior_state(grid, np.random.default_rng(12), 20).u
         state = SolverState(0.0, u0)
         count = 0
-        for dt, (new,) in itertools.islice(march([u0], params, config), 7):
+        for (dt,), block in itertools.islice(march([u0], params, config), 7):
+            (new,) = states_of(block, grid)
             assert dt == stable_dt(state, params, config, 0.9)
             assert new.t == state.t + dt
             state, count = new, count + 1
@@ -772,8 +789,8 @@ class TestLockstep:
             return int((v != 0.0).argmax()) if v.any() else v.size
 
         counts = [leading_zeros(u0.values)]
-        for _, (s,) in itertools.islice(march([u0], params, config), 40):
-            counts.append(leading_zeros(s.u.values))
+        for _, block in itertools.islice(march([u0], params, config), 40):
+            counts.append(leading_zeros(block.u[0, 0]))
         assert all(b >= a - 1 for a, b in zip(counts, counts[1:]))
         assert counts[-1] < counts[0]
 
@@ -784,8 +801,8 @@ class TestLockstep:
         u0 = interior_state(grid, rng, margin).u
         v0 = GridFunction(grid, 0.5 * u0.values)
         distances = [norm(GridFunction(grid, u0.values - v0.values), 1)]
-        for _, (su, sv) in march([u0, v0], params, config, [10.0]):
-            distances.append(norm(GridFunction(grid, su.u.values - sv.u.values), 1))
+        for _, block in march([u0, v0], params, config, [10.0]):
+            distances.append(norm(GridFunction(grid, block.u[0, 0] - block.u[0, 1]), 1))
         assert all(b <= a + 1e-12 for a, b in zip(distances, distances[1:]))
 
     def test_order_preservation(self):
@@ -797,9 +814,83 @@ class TestLockstep:
         bump[margin:-margin] = 0.05 * rng.random(len(bump) - 2 * margin)
         v0 = GridFunction(grid, u0.values + bump)
         *_, (_, final) = march([u0, v0], params, config, [10.0])
-        assert final[0].t == 10.0
-        gap = final[1].u.values - final[0].u.values
+        assert final.t == (10.0,)
+        gap = final.u[0, 1] - final.u[0, 0]
         assert gap.min() >= -1e-12
+
+
+class TestBlock:
+    """Independent cases stepped as one block against each case alone."""
+
+    EO, MLF = FluxKind.ENGQUIST_OSHER, FluxKind.MODIFIED_LAX_FRIEDRICHS
+    CORRECTED, NAIVE = CorrectorMode.CORRECTED, CorrectorMode.NAIVE
+    # (nu, c, theta, dx, span, flux, corrector, margin); every case steps a
+    # pair of states, and the last grid has 30 cells, less than one block of
+    # the memory recurrence.
+    CASES = [
+        (1e-2, 2e-2, 1.0, 0.25, 50.0, EO, CORRECTED, 30),
+        (5e-3, 3e-2, 0.6, 0.25, 30.0, MLF, CORRECTED, 20),
+        (2e-2, 1e-2, 1.7, 0.25, 70.0, EO, NAIVE, 40),
+        (0.0, 4e-2, 0.9, 0.5, 40.0, MLF, NAIVE, 10),
+        (3e-2, 0.0, 1.2, 0.5, 15.0, EO, CORRECTED, 5),
+    ]
+
+    @classmethod
+    def problems(cls):
+        rng = np.random.default_rng(21)
+        out = []
+        for nu, c, theta, dx, span, flux, corrector, margin in cls.CASES:
+            grid, params, config = make_setup(
+                nu=nu, c=c, theta=theta, dx=dx, span=span, tail_tol=1e-6,
+                flux=flux, corrector=corrector,
+            )
+            u = interior_state(grid, rng, margin).u
+            v = GridFunction(grid, float(rng.uniform(-1.0, 1.0)) * u.values)
+            out.append(([u, v], params, config))
+        return out
+
+    def test_block_matches_each_case_alone(self):
+        problems = self.problems()
+        initials, params, configs = (list(x) for x in zip(*problems))
+        assert len({c.grid.num_cells for c in configs}) == len(problems)
+        steps = list(itertools.islice(march(initials, params, configs, dt_max=10.0), 25))
+        width = max(c.grid.num_cells for c in configs)
+        for i, (states, p, config) in enumerate(problems):
+            alone = list(itertools.islice(march(states, p, config, dt_max=10.0), 25))
+            dts = [dt[i] for dt, _ in steps]
+            assert dts == pytest.approx([dt for (dt,), _ in alone], rel=1e-14, abs=0.0)
+            n = config.grid.num_cells
+            for (_, block), (_, own) in zip(steps, alone):
+                scale = np.abs(own.u).max()
+                assert np.abs(block.u[i, :, :n] - own.u[0]).max() <= 1e-14 * scale
+                assert np.all(block.u[i, :, n:] == 0.0)
+            assert block.u.shape == (len(problems), 2, width)
+        # The dt sequences are the cases' own: no two cases share one.
+        seqs = {tuple(dt[i] for dt, _ in steps) for i in range(len(problems))}
+        assert len(seqs) == len(problems)
+
+    def test_pair_shares_each_dt(self):
+        # Each case's dt is the smaller of its two states' bounds.
+        problems = self.problems()
+        initials, params, configs = (list(x) for x in zip(*problems))
+        prev = [[SolverState(0.0, u) for u in states] for states in initials]
+        for dts, block in itertools.islice(march(initials, params, configs), 10):
+            for i, (p, config) in enumerate(zip(params, configs)):
+                bound = min(stable_dt(s, p, config, 0.9) for s in prev[i])
+                assert dts[i] == pytest.approx(bound, rel=1e-14, abs=0.0)
+                assert block.t[i] == prev[i][0].t + dts[i]
+            prev = [states_of(block, c.grid, i) for i, c in enumerate(configs)]
+
+    def test_several_cases_take_the_default_target_only(self):
+        (states, params, config), other = self.problems()[:2]
+        with pytest.raises(ValueError, match="default target"):
+            next(march([states, other[0]], [params, other[1]], [config, other[2]], [1.0]))
+
+    def test_block_steps_with_its_own_params_and_config(self):
+        (states, params, config), other = self.problems()[:2]
+        _, block = next(march(states, params, config))
+        with pytest.raises(ValueError, match="marched with"):
+            stable_dt(block, other[1], config, 0.9)
 
 
 class TestRescale:

@@ -7,7 +7,6 @@ functions.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import warnings
@@ -17,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import scheme
-from .grid import Grid, GridFunction, d_plus, make_grid, norm, zero_pad
+from .grid import Grid, GridFunction, make_grid, norm
 from .kernel import DEFAULT_TAIL_TOL, build, choose_n
 from .profile import AsymptoticProfile, sample_on_grid
 from .scheme import CorrectorMode, FluxKind, PhysicalParams, RunRecord, SchemeConfig
@@ -209,28 +208,48 @@ def n_wave_diagnostic(w: GridFunction) -> NWaveDiagnostic:
 
 @dataclass(frozen=True)
 class InequalityCheck:
-    holds: bool
-    lhs: float
-    rhs: float
+    """Both sides and the verdict: scalars for one case, else arrays."""
+
+    holds: bool | np.ndarray
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
 
 
-def gns_inequality_check(w: GridFunction, p: float) -> InequalityCheck:
+def _one_row(res: InequalityCheck) -> InequalityCheck:
+    return InequalityCheck(bool(res.holds[0]), float(res.lhs[0]), float(res.rhs[0]))
+
+
+def gns_inequality_check(w, p) -> InequalityCheck:
     """Discrete Gagliardo-Nirenberg inequality for piecewise-constant data.
 
     Verifies ``||w||_p^(p(p+1)/(p-1)) <= 4 ||w||_1^(2p/(p-1)) *
     ||d+(|w|^(p/2))||_2^2`` by direct evaluation.  The gradient norm is taken
     on the zero extension (one padding cell per side), so the boundary jumps
     of compactly supported data are counted.
+
+    ``w`` is a grid function and ``p`` a float, or sequences of them (or
+    one ``p`` for all), evaluated as one zero-padded array with a row per
+    function.  The norms are pairwise sums, within a few ulps of
+    :func:`augburgers.grid.norm`.
     """
-    if not p > 1.0:
-        raise ValueError(f"p must exceed 1, got {p}")
-    if not np.any(w.values):
+    ws = [w] if isinstance(w, GridFunction) else list(w)
+    p = np.broadcast_to(np.asarray(p, dtype=np.float64), (len(ws),))[:, None]
+    if not np.all(p > 1.0):
+        raise ValueError(f"p must exceed 1, got {p.ravel()}")
+    av = np.zeros((len(ws), 2 + max(f.grid.num_cells for f in ws)))
+    for row, f in zip(av, ws):
+        row[1 : f.grid.num_cells + 1] = f.values
+    np.abs(av, out=av)
+    if not np.all(av.any(axis=1)):
         raise ValueError("w must not be identically zero")
-    g = GridFunction(w.grid, np.abs(w.values) ** (p / 2.0))
-    grad = norm(d_plus(zero_pad(g, 1, 1)), 2)
-    lhs = norm(w, p) ** (p * (p + 1.0) / (p - 1.0))
-    rhs = 4.0 * norm(w, 1) ** (2.0 * p / (p - 1.0)) * grad * grad
-    return InequalityCheck(holds=lhs <= rhs, lhs=lhs, rhs=rhs)
+    dx = np.array([f.grid.dx for f in ws])[:, None]
+    grad = np.diff(av ** (p / 2.0), axis=1) / dx
+    grad2 = dx * (grad * grad).sum(axis=1, keepdims=True)
+    norm_p = (dx * (av**p).sum(axis=1, keepdims=True)) ** (1.0 / p)
+    lhs = norm_p ** (p * (p + 1.0) / (p - 1.0))
+    rhs = 4.0 * (dx * av.sum(axis=1, keepdims=True)) ** (2.0 * p / (p - 1.0)) * grad2
+    res = InequalityCheck(holds=(lhs <= rhs)[:, 0], lhs=lhs[:, 0], rhs=rhs[:, 0])
+    return _one_row(res) if isinstance(w, GridFunction) else res
 
 
 def pde_residual(profile: AsymptoticProfile, t: float, x: float, h: float) -> float:
@@ -260,33 +279,43 @@ def pde_residual(profile: AsymptoticProfile, t: float, x: float, h: float) -> fl
     return w_t - w * w_x - profile.viscosity * w_xx
 
 
-def series_lemma_check(a: float, phi: float, n: int) -> InequalityCheck:
+def series_lemma_check(a, phi, n) -> InequalityCheck:
     """Geometric-series bound behind the kernel truncation estimates.
 
     For 0 < a < 1 and b = exp(i phi) on the unit circle, checks by direct
-    complex summation that
+    summation that
 
         | sum_{k<=n} a^k (b^k - 1) + (sum_{k<=n} k a^k)(1/b - 1) |
             <= |b - 1|^2 * a / (1 - a)^3.
+
+    ``a``, ``phi`` and ``n`` are numbers, or sequences with one entry per
+    case.  The sums loop over k, so each case adds its terms in ascending k.
     """
-    if not 0.0 < a < 1.0:
+    one = np.ndim(a) == 0
+    a, phi, n = (np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (a, phi, n))
+    if not (np.all(a > 0.0) and np.all(1.0 > a)):
         raise ValueError(f"a must lie in (0, 1), got {a}")
-    if n < 1:
+    if not np.all(n >= 1.0):
         raise ValueError(f"n must be >= 1, got {n}")
-    # b^k - 1 = 2i sin(k phi/2) e^{ik phi/2} and 1/b - 1 = -2i sin(phi/2)
-    # e^{-i phi/2}: the sine forms keep full relative accuracy when phi is
-    # tiny, where subtracting 1 from b^k would cancel.
-    s1 = 0j
-    s2 = 0.0
-    for k in range(1, n + 1):
-        ak = a**k
+    # b^k - 1 = 2 sin(k phi/2) (i cos - sin)(k phi/2) and 1/b - 1 =
+    # -2 sin(phi/2) (sin + i cos)(phi/2), summed as real and imaginary parts:
+    # the sine forms keep full relative accuracy when phi is tiny, where
+    # subtracting 1 from b^k would cancel.
+    re, im, s2 = np.zeros(a.shape), np.zeros(a.shape), np.zeros(a.shape)
+    for k in range(1, int(n.max()) + 1):
+        ak = np.where(n >= k, a**k, 0.0)
         half = 0.5 * k * phi
-        s1 += ak * 2j * math.sin(half) * cmath.exp(1j * half)
+        sin = np.sin(half)
+        sk = 2.0 * ak * sin
+        re -= sk * sin
+        im += sk * np.cos(half)
         s2 += k * ak
-    half = 0.5 * phi
-    lhs = abs(s1 - s2 * 2j * math.sin(half) * cmath.exp(-1j * half))
-    rhs = 4.0 * math.sin(half) ** 2 * a / (1.0 - a) ** 3
-    return InequalityCheck(holds=lhs <= rhs, lhs=lhs, rhs=rhs)
+    sin, cos = np.sin(0.5 * phi), np.cos(0.5 * phi)
+    s2 *= 2.0 * sin
+    lhs = np.hypot(re - s2 * sin, im - s2 * cos)
+    rhs = 4.0 * sin**2 * a / (1.0 - a) ** 3
+    res = InequalityCheck(holds=lhs <= rhs, lhs=lhs, rhs=rhs)
+    return _one_row(res) if one else res
 
 
 # Rule of profile_integral.  The two caps bound the work on a function the

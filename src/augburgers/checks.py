@@ -5,10 +5,11 @@ Each suite is declared once in :data:`SUITES` as
 case key its closed range ``(lo, hi)``, with int bounds for an integer key;
 ``generate(rng, ranges)`` draws one case inside it and ``check(cases)``
 returns one ``(ok, detail)`` per case of a list.  The stepped suites march
-their cases as blocks of independent cases (:func:`augburgers.scheme.march`),
-so a case is checked the same, to roundoff, alone or among others.  A case
-holds plain numbers only, so a failing one serializes to JSON and replays
-exactly, as a list of one case.
+their cases as blocks of independent cases (:func:`augburgers.scheme.march`)
+and the inequality suites evaluate them as arrays, so a case is checked the
+same, to roundoff, alone or among others.  A case holds plain numbers only,
+so a failing one serializes to JSON and replays exactly, as a list of one
+case.
 """
 
 from __future__ import annotations
@@ -97,46 +98,57 @@ def _check_kernel_closed_forms(case) -> tuple[bool, str]:
     return ok, f"rel errors {err0:.3e}, {err1:.3e}"
 
 
-# Cells (cases x states x widest grid) of one stepped block.  The budget is
-# in cells because of peak RSS on the check-suite benchmark: blocks of all 40
-# cases of a suite read 45.0 MB where one case at a time read 41.1 MB, and
-# fixed 8-case blocks up to 0.77 MB more than that (before the Gauss-Legendre
-# rule stopped importing numpy.polynomial), since the mass-conservation grids
-# are about twice as wide as the others.  At 4096 cells a stepped suite's
-# traced peak is at most 0.6 MB, below the 0.76 MB that import took.
+# Cells (cases x rows x widest row) of one block of cases checked as arrays:
+# the stepped suites' blocks, whose rows are the states, and the chunks of
+# the inequality suites.  The budget is in cells because of peak RSS on the
+# check-suite benchmark: blocks of all 40 cases of a stepped suite read
+# 45.0 MB where one case at a time read 41.1 MB, and fixed 8-case blocks up
+# to 0.77 MB more than that (before the Gauss-Legendre rule stopped
+# importing numpy.polynomial), since the mass-conservation grids are about
+# twice as wide as the others.  At 4096 cells a stepped suite's traced peak
+# is at most 0.6 MB, below the 0.76 MB that import took; unchunked, the
+# 300 x 202 arrays of the Gagliardo-Nirenberg suite raised peak_rss_mb from
+# 40.5 to 43.2 MB.
 _BLOCK_CELLS = 4096
 
 # Steps of every stepped suite.
 _STEPS = 25
 
 
-def _blocks(cases, setup):
-    """The problems ``setup(case) -> (initial states, params, config)`` of
-    the cases, built one at a time and grouped in order into blocks of at
-    most _BLOCK_CELLS cells; a larger problem is a block of its own."""
+def _stepped_size(problem) -> tuple[int, int]:
+    states, _, config = problem
+    return len(states), config.grid.num_cells
+
+
+def _blocks(cases, setup, size):
+    """The problems ``setup(case)`` of the cases, built one at a time and
+    grouped in order into blocks of at most _BLOCK_CELLS cells, where
+    ``size(problem)`` is its ``(rows, cells per row)``; a larger problem is
+    a block of its own."""
     block, width = [], 0
     for case in cases:
         problem = setup(case)
-        states, _, config = problem
-        wider = max(width, config.grid.num_cells)
-        if block and (len(block) + 1) * len(states) * wider > _BLOCK_CELLS:
+        rows, cells = size(problem)
+        wider = max(width, cells)
+        if block and (len(block) + 1) * rows * wider > _BLOCK_CELLS:
             yield block
-            block, wider = [], config.grid.num_cells
+            block, wider = [], cells
         block.append(problem)
         width = wider
     if block:
         yield block
 
 
-def _in_blocks(setup):
-    """A check of a list of cases from a check of one block of problems,
-    which marches them together (:func:`_stepped`); each block's arrays are
-    gone before the next block is built."""
+def _in_blocks(setup, size=_stepped_size):
+    """A check of a list of cases from a check of one block of problems
+    (see :func:`_blocks`); the stepped suites' blocks march together
+    (:func:`_stepped`).  Each block's arrays are gone before the next block
+    is built."""
 
     def wrap(check_block):
         @functools.wraps(check_block)
         def check(cases):
-            return [r for problems in _blocks(cases, setup) for r in check_block(problems)]
+            return [r for problems in _blocks(cases, setup, size) for r in check_block(problems)]
 
         return check
 
@@ -175,21 +187,27 @@ def _scaled_pair(case):
     return [u, v], params, config
 
 
+def _l1_distances(diff: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """``dx sum_j |diff_j|`` per row: the L1 distance of each case's pair."""
+    return dx * np.abs(diff).sum(axis=1)
+
+
 @_in_blocks(_scaled_pair)
 def _check_l1_contraction(problems) -> list[tuple[bool, str]]:
-    grids = [config.grid for _, _, config in problems]
-    dist = [norm(GridFunction(u.grid, u.values - v.values), 1) for (u, v), _, _ in problems]
-    ok = [True] * len(problems)
-    worst = [0.0] * len(problems)
+    dx = np.array([config.grid.dx for _, _, config in problems])
+    width = max(config.grid.num_cells for _, _, config in problems)
+    diff = np.zeros((len(problems), width))
+    for row, ((u, v), _, _) in zip(diff, problems):
+        row[: u.grid.num_cells] = u.values - v.values
+    dist = _l1_distances(diff, dx)
+    ok = np.ones(len(problems), dtype=bool)
+    worst = np.zeros(len(problems))
     for _, block in _stepped(problems):
-        diff = block.u[:, 0] - block.u[:, 1]
-        for i, grid in enumerate(grids):
-            new = norm(GridFunction.from_checked(grid, diff[i, : grid.num_cells]), 1)
-            if new > dist[i] + 1e-12:
-                ok[i] = False
-            worst[i] = max(worst[i], new - dist[i])
-            dist[i] = new
-    return [(o, f"max per-step growth {w:.3e}") for o, w in zip(ok, worst)]
+        new = _l1_distances(block.u[:, 0] - block.u[:, 1], dx)
+        ok &= ~(new > dist + 1e-12)
+        np.maximum(worst, new - dist, out=worst)
+        dist = new
+    return [(o, f"max per-step growth {w:.3e}") for o, w in zip(ok.tolist(), worst.tolist())]
 
 
 @_in_blocks(_one_state)
@@ -223,17 +241,28 @@ def _check_order_preservation(problems) -> list[tuple[bool, str]]:
     return [(w <= 1e-12, f"max ordering violation {w:.3e}") for w in worst.tolist()]
 
 
-@_per_case
-def _check_gns(case) -> tuple[bool, str]:
+def _gns_function(case):
     rng = np.random.default_rng(case["case_seed"])
     n = int(rng.integers(3, 201))
     dx = float(rng.uniform(0.01, 1.0))
     vals = 2.0 * rng.random(n) - 1.0
     if not np.any(vals):
         vals[0] = 0.5
-    w = GridFunction(make_grid(0.0, n * dx, dx), vals)
-    res = analysis.gns_inequality_check(w, case["p"])
-    return res.holds, f"lhs {res.lhs:.3e} vs rhs {res.rhs:.3e}"
+    return GridFunction(make_grid(0.0, n * dx, dx), vals), case["p"]
+
+
+def _inequality_details(res) -> list[tuple[bool, str]]:
+    return [
+        (ok, f"lhs {lhs:.3e} vs rhs {rhs:.3e}")
+        for ok, lhs, rhs in zip(res.holds.tolist(), res.lhs.tolist(), res.rhs.tolist())
+    ]
+
+
+# One row per function, with a zero cell on either side.
+@_in_blocks(_gns_function, size=lambda problem: (1, problem[0].grid.num_cells + 2))
+def _check_gns(problems) -> list[tuple[bool, str]]:
+    functions, ps = zip(*problems)
+    return _inequality_details(analysis.gns_inequality_check(functions, ps))
 
 
 def _draw_gns(rng, ranges) -> dict:
@@ -244,10 +273,11 @@ def _draw_gns(rng, ranges) -> dict:
     return case
 
 
-@_per_case
-def _check_series(case) -> tuple[bool, str]:
-    res = analysis.series_lemma_check(case["a"], case["phi"], case["n"])
-    return res.holds, f"lhs {res.lhs:.3e} vs rhs {res.rhs:.3e}"
+# The series check loops over k with one entry per case.
+@_in_blocks(lambda case: case, size=lambda case: (1, 1))
+def _check_series(cases) -> list[tuple[bool, str]]:
+    a, phi, n = ([case[key] for case in cases] for key in ("a", "phi", "n"))
+    return _inequality_details(analysis.series_lemma_check(a, phi, n))
 
 
 @_per_case
@@ -333,8 +363,9 @@ def run_suite(name: str, rng, count: int) -> list[dict]:
     ``{"suite", "case", "detail"}`` records.
 
     No check draws from ``rng``, so drawing first leaves every case as it
-    was; the stepped suites march their cases in blocks (see
-    :data:`_BLOCK_CELLS`)."""
+    was.  The stepped suites march their cases in blocks, and the
+    Gagliardo-Nirenberg and series suites evaluate theirs as arrays in
+    blocks, each within :data:`_BLOCK_CELLS`."""
     generate, check, _, ranges = SUITES[name]
     cases = [generate(rng, ranges) for _ in range(count)]
     return [

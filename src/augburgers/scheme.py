@@ -29,22 +29,16 @@ the exact recurrence (recursive convolution)
 
     E_j = q E_{j-1} + p u_{j-1},        S_j = E_j - q^N E_{j-N},
 
-in O(n) work at any N; the subtraction drops out where N is at least the
-window.  It runs blocked, as products with triangular Toeplitz matrices that
-each :func:`march` builds once per case.  The other terms are differences of
-one face flux, plus ``-M0 u_j`` (see :func:`rhs`).  Cells left of the first
-nonzero cell less one are skipped: their right-hand side is exactly 0.0.
-A :class:`SolverState` takes ``max|u|`` once, when it is built: that one
-reduction is both its finiteness check and the bound of its next step.
-
-:func:`march` steps the states of independent cases, each with its own
-parameters, as one :class:`StateBlock`; the per-step scalars become per-case
-columns, built once per march.  A lone state is a block of one case.
+in O(n) work at any N, blocked as products with triangular Toeplitz
+matrices.  The other terms are differences of one face flux, plus
+``-M0 u_j`` (see :func:`rhs`).  A :class:`SolverState` takes ``max|u|``
+once, when it is built: that one reduction is both its finiteness check and
+the bound of its next step.  :func:`march` steps the states of independent
+cases, each with its own parameters, as one flat :class:`StateBlock`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import warnings
@@ -178,17 +172,17 @@ class SolverState:
 
 
 class _Cases:
-    """The cases of a block and their constants, built once per march.
+    """The cases of a block, its layout and constants, built once per march.
 
-    ``params`` and ``config`` are one object each for one case, or
-    sequences with one entry per case; the block's step functions take back
-    exactly these objects.  The per-case scalars of the cell arithmetic are
-    ``(cases, 1, 1)`` columns, plain floats for one case, so that one case
-    runs the operations of a lone state.  ``levels`` holds the constants
-    of the memory recurrence (see :func:`augburgers.kernel._levels`).
+    ``params`` and ``config`` are one object, or one per case, as the step
+    functions take them back.  The block is one flat array of
+    ``cases x states`` rows: a zero cell, the case's cells, zeros to whole
+    blocks of the recurrence (at least _BLOCK - 1 for a lone state: one
+    case, one state).  A constant all cases share is a float, others are
+    ``(rows, 1)`` columns.
     """
 
-    def __init__(self, params, config) -> None:
+    def __init__(self, params, config, states: int = 1) -> None:
         self.given = (params, config)
         if isinstance(config, SchemeConfig):
             params, config = (params,), (config,)
@@ -196,73 +190,101 @@ class _Cases:
         k = len(self.configs)
         if k == 0 or len(self.params) != k:
             raise ValueError("need one params and one config for each of at least one case")
-        self.widths = [c.grid.num_cells for c in self.configs]
-        self.width = max(self.widths)
-        self.short = [(i, n) for i, n in enumerate(self.widths) if n < self.width]
+        widths = [c.grid.num_cells for c in self.configs]
+        self.width = max(widths)
+        self.lone = k * states == 1
+        self.row = -(-(self.width + (_BLOCK if self.lone else 1)) // _BLOCK) * _BLOCK
+        self.states, self.shape = states, (k, states, self.row)
         self.mlf = [c.flux is FluxKind.MODIFIED_LAX_FRIEDRICHS for c in self.configs]
-        self.headroom = [_flux_headroom(c) for c in self.configs]
-        self.dx, self.diffusion, self.memory, self.truncation = [], [], [], []
-        quarter, a_minus, a_plus, mem_m0, mem_p = [], [], [], [], []
-        for i, (p, c) in enumerate(zip(self.params, self.configs)):
+        self.any_mlf, self.all_mlf = any(self.mlf), all(self.mlf)
+        self.levels = _levels([c.quadrature for c in self.configs], self.row)
+        # Per case: dx, 2 nu/dx^2, (c/theta^2) sum (m+1) w_m, headroom;
+        # 1/(4 dx), a-, a+, (c/theta^2) M0, (c/theta^2) p (see rhs); N, q^N.
+        rows = []
+        for p, c in zip(self.params, self.configs):
             quad = c.quadrature
             dx, theta = c.grid.dx, quad.theta
             m0, m1 = c.corrector_factors()
             mem = p.c / (theta * theta)
             h = quad.dx / theta
-            self.dx.append(dx)
-            self.diffusion.append(2.0 * p.nu / (dx * dx))
-            self.memory.append(mem * quad.stability_sum)
-            a_minus.append(p.nu / (dx * dx))
-            a_plus.append(a_minus[-1] + p.c * m1 / (theta * dx))
-            # The rows the truncation of case i applies to, its N and q^N.
-            rows = i if len(self.configs) > 1 else Ellipsis
-            self.truncation.append((rows, quad.n_terms, math.exp(-quad.n_terms * h)))
-            quarter.append(0.25 / dx)
-            mem_m0.append(mem * m0)
-            mem_p.append(mem * -math.expm1(-h))
-        self.quarter = self.column(quarter)
-        self.a_minus = self.column(a_minus)
-        self.a_plus = self.column(a_plus)
-        self.mem_m0 = self.column(mem_m0)
-        self.mem_p = self.column(mem_p)
-        self.any_mlf, self.all_mlf = any(self.mlf), all(self.mlf)
-        self.eo = None  # a 0/1 column where the block mixes the two fluxes
+            a_minus = p.nu / (dx * dx)
+            rows.append((dx, 2.0 * p.nu / (dx * dx), mem * quad.stability_sum,
+                         _flux_headroom(c), 0.25 / dx, a_minus,
+                         a_minus + p.c * m1 / (theta * dx), mem * m0, mem * -math.expm1(-h),
+                         quad.n_terms, math.exp(-quad.n_terms * h)))
+        per_case = list(zip(*rows))
+        self.dx, self.diffusion, self.memory = (
+            v[0] if self.lone else np.array(v) for v in per_case[:3])
+        self.headroom, n_terms, q_n = per_case[3], per_case[9], per_case[10]
+        self.quarter, self.a_minus, self.a_plus, self.mem_m0, self.mem_p = map(
+            self.per_row, per_case[4:9])
+        self.eo = None  # 1.0 on the EO rows where the block mixes the two fluxes
         if self.any_mlf and not self.all_mlf:
-            self.eo = self.column([0.0 if f else 1.0 for f in self.mlf])
-        self.levels = _levels([c.quadrature for c in self.configs], self.width)
+            self.eo = self.per_row([0.0 if f else 1.0 for f in self.mlf])
+        if self.lone:
+            self.truncation = (n_terms[0], q_n[0])
+            return
+        # The memory input's factor (c/theta^2) p scales the level-0 matrices.
+        t = self.levels[0][0]
+        t *= np.reshape(per_case[8], (-1,) + (1,) * (t.ndim - 1))
+        # Entry j of a row is cell j - 1.  The q^N truncation gathers the sum
+        # N cells back for cells j - 1 >= N, else entry 0, which is 0.0.
+        # Fills and slices build both: a NumPy kernel's first run pages in
+        # its code, 64-128 kB of peak RSS.
+        mask = np.zeros(self.shape)
+        idx = np.zeros(k * states * self.row, dtype=np.intp)
+        for i, (n, big_n) in enumerate(zip(widths, n_terms)):
+            mask[i, :, 1 : n + 1] = 1.0
+            for start in range(i * states * self.row, (i + 1) * states * self.row, self.row):
+                idx[start + big_n + 1 : start + n + 1] = np.arange(start, start + n - big_n)
+        self.mask = mask.reshape(-1, self.row)
+        self.gather = (idx, self.per_row(q_n))
 
-    def column(self, values):
-        """Per-case values in the shape the cell arithmetic broadcasts."""
-        if len(values) == 1:
+    def per_row(self, values):
+        """Per-case values as a float if all equal, else a (rows, 1) column."""
+        if values.count(values[0]) == len(values):
             return values[0]
-        return np.array(values, dtype=np.float64).reshape(-1, 1, 1)
+        return np.repeat(np.array(values, dtype=np.float64), self.states)[:, None]
+
+    def locate(self, index: int) -> str:
+        r, col = divmod(index, self.row)
+        return f"cell {col - 1} of case {r // self.states}, state {r % self.states}"
 
 
 @dataclass(frozen=True)
 class StateBlock:
-    """The states of a march at one step: ``u[i, s]`` is state s of case i.
+    """The states of a march at one step, read-only.
 
-    ``u`` is a read-only ``(cases, states, cells)`` array as wide as the
-    widest case's grid; the cells past a shorter case's grid are exactly
-    0.0, its zero extension.  ``t[i]`` is case i's time.  ``umax[i][s]`` is
-    the max|u| of state s, taken once when the block is built; as for
-    :class:`SolverState` that reduction is the finiteness check.
-    ``cases`` holds the parameters and per-case constants of the march.
+    ``flat`` is the march's layout (see :class:`_Cases`) and ``u`` its
+    ``(cases, states, cells)`` view; cells past a shorter grid are exactly
+    0.0.  ``t[i]`` is case i's time; ``umax``, each state's max|u| (a float
+    for a lone state), is the finiteness check, as for :class:`SolverState`.
     """
 
     t: tuple[float, ...]
-    u: np.ndarray
+    flat: np.ndarray
     cases: _Cases = field(repr=False)
-    umax: list = field(init=False, repr=False)
+    umax: object = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        vals = self.u
-        umax = np.abs(vals).max(axis=2).tolist()
-        if not all(map(math.isfinite, itertools.chain.from_iterable(umax))):
-            i, s, cell = np.argwhere(~np.isfinite(vals))[0].tolist()
-            raise SolverAbort(f"non-finite value in cell {cell} of case {i}, state {s}")
+        cases, vals = self.cases, self.flat
+        av = np.abs(vals)
+        if cases.lone:
+            umax = float(av.max())
+            finite = math.isfinite(umax)
+        else:
+            umax = av.reshape(cases.shape).max(axis=2)
+            finite = math.isfinite(umax.max())
+        if not finite:
+            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+            raise SolverAbort(f"non-finite value in {cases.locate(bad)}")
         vals.setflags(write=False)
         object.__setattr__(self, "umax", umax)
+
+    @property
+    def u(self) -> np.ndarray:
+        cases = self.cases
+        return self.flat.reshape(cases.shape)[..., 1 : cases.width + 1]
 
 
 def _own_cases(block: StateBlock, params, config) -> _Cases:
@@ -273,10 +295,9 @@ def _own_cases(block: StateBlock, params, config) -> _Cases:
 
 
 def _one_case(state: SolverState, params: PhysicalParams, config: SchemeConfig) -> StateBlock:
-    """``state`` as a block of one case with one state, sharing its values."""
-    if state.u.grid is not config.grid and state.u.grid != config.grid:
-        raise ValueError("state grid does not match scheme configuration grid")
-    return StateBlock((state.t,), state.u.values.reshape(1, 1, -1), _Cases(params, config))
+    """``state`` as a block of one case with one state."""
+    cases = _Cases(params, config)
+    return StateBlock((state.t,), _stack([[state.u]], cases), cases)
 
 
 @dataclass
@@ -298,25 +319,34 @@ class RunRecord:
     boundary_warning: bool = False
 
 
-def _add_memory_sum(part: np.ndarray, upad: np.ndarray, cases: _Cases) -> None:
-    """``part_j += (c/theta^2) S_j`` on the window ``upad[..., 1:]``, whose
-    left neighbours are zero; ``upad`` is zero past the window's m cells."""
-    m = part.shape[-1]
-    # E_j = q E_{j-1} + x_j with x_j = (c/theta^2) p upad_j; the zeros past
-    # the window pad the input to whole blocks, and reach no output before m.
-    x = upad[..., : -(-m // _BLOCK) * _BLOCK] * cases.mem_p
-    e = _recurrence(x, cases.levels)[..., :m]
-    part += e
-    for rows, big_n, q_n in cases.truncation:
+def _add_memory_sum(part: np.ndarray, flat: np.ndarray, lo: int, cases: _Cases) -> None:
+    """``part += (c/theta^2) S`` on the cells from entry ``lo + 1`` of
+    ``flat`` (a lone state) or on all its entries but the first and last."""
+    m = part.size
+    if cases.lone:
+        # E_j = q E_{j-1} + x_j with x_j = (c/theta^2) p u_{j-1} from the zero
+        # left of the window; the zeros past it pad the input to whole blocks.
+        x = flat[lo : lo - (-m // _BLOCK) * _BLOCK] * cases.mem_p
+        e = _recurrence(x, cases.levels)[:m]
+        part += e
+        big_n, q_n = cases.truncation
         if big_n < m:
-            part[rows][..., big_n:] -= e[rows][..., : m - big_n] * q_n
+            part[big_n:] -= e[: m - big_n] * q_n
+        return
+    # Each row recurs from its leading zero; e[k] is entry k + 1's sum.
+    e = _recurrence(flat.reshape(cases.shape).copy(), cases.levels).reshape(-1)
+    part += e[:m]
+    idx, q_n = cases.gather
+    shifted = e.take(idx)
+    rows = shifted.reshape(-1, cases.row)
+    rows *= q_n
+    part -= shifted[1:-1]
 
 
-def _face_flux_difference(
-    part: np.ndarray, win: np.ndarray, cases: _Cases, a_minus, a_plus
-) -> None:
-    """``part_j = (H_{j+1/2} - H_{j-1/2})/dx`` (see :func:`rhs`) on the cells
-    of ``win`` between its first and last entry, both 0."""
+def _face_flux_difference(win: np.ndarray, cases: _Cases, a_minus, a_plus, out=None):
+    """``(H_{j+1/2} - H_{j-1/2})/dx`` (see :func:`rhs`) on the entries of
+    ``win`` but its first and last, to ``out`` or else to those entries of
+    the array returned, shaped as ``win``."""
     quarter = win * cases.quarter
     if cases.all_mlf:
         left, right = quarter, quarter.copy()
@@ -331,49 +361,44 @@ def _face_flux_difference(
     right += a_plus
     right *= win
     # H/dx at the faces of the window: left[k] = L(win_k) + R(win_k+1).
-    left[..., :-1] += right[..., 1:]
-    np.subtract(left[..., 1:-1], left[..., :-2], out=part)
+    lf, rf = left.reshape(-1), right.reshape(-1)
+    lf[:-1] += rf[1:]
+    np.subtract(lf[1:-1], lf[:-2], out=rf[1:-1] if out is None else out)
+    return right
 
 
 def _block_rhs(block: StateBlock, dt_ref) -> np.ndarray:
-    cases = block.cases
+    cases, flat = block.cases, block.flat
     a_minus, a_plus = cases.a_minus, cases.a_plus
     if cases.any_mlf:
         if dt_ref is None or not min(dt_ref) > 0.0:
             raise ValueError("the modified Lax-Friedrichs flux needs a positive dt_ref")
-        dissipation = cases.column([0.25 / d if f else 0.0 for d, f in zip(dt_ref, cases.mlf)])
+        dissipation = cases.per_row([0.25 / d if f else 0.0 for d, f in zip(dt_ref, cases.mlf)])
         a_minus = a_minus + dissipation
         a_plus = a_plus + dissipation
-    k, s, n = block.u.shape
-    # One state is assembled on 1-D views: the operations of a lone state.
-    u = block.u.reshape(n) if k * s == 1 else block.u
-    nonzero = u != 0.0
-    if u.ndim > 1:
-        nonzero = nonzero.reshape(-1, n).any(axis=0)
-    lo = max(int(nonzero.argmax()) - 1, 0)
-    uw = u[..., lo:]
-    m = n - lo
-    # The window between zeros, padded to whole blocks for the memory sum.
-    upad = np.zeros(u.shape[:-1] + (max(m + 2, -(-m // _BLOCK) * _BLOCK),))
-    upad[..., 1 : m + 1] = uw
-
-    vals = np.zeros(u.shape)
-    part = vals[..., lo:]
-    _face_flux_difference(part, upad[..., : m + 2], cases, a_minus, a_plus)
-    part -= np.multiply(uw, cases.mem_m0)
-    _add_memory_sum(part, upad, cases)
-    vals = vals.reshape(k, s, n)
-    for i, width in cases.short:
-        vals[i, :, width:] = 0.0
+    if cases.lone:
+        # The window from the zero left of cell lo to the zero past the grid.
+        n = cases.width
+        lo = max(int((flat != 0.0).argmax()) - 2, 0)
+        win, vals = flat[lo : n + 2], np.zeros(flat.shape)
+        part = vals[lo + 1 : n + 1]
+        _face_flux_difference(win, cases, a_minus, a_plus, out=part)
+        part -= np.multiply(win[1:-1], cases.mem_m0)
+        _add_memory_sum(part, flat, lo, cases)
+    else:
+        win = flat.reshape(-1, cases.row)
+        rows = _face_flux_difference(win, cases, a_minus, a_plus)
+        rows -= np.multiply(win, cases.mem_m0)
+        vals = rows.reshape(-1)
+        part = vals[1:-1]
+        _add_memory_sum(part, flat, 0, cases)
+        rows *= cases.mask
     # A non-finite entry makes the sum non-finite; a finite sum of finite
     # terms can also overflow, so the entries decide.
     if not math.isfinite(part.sum()):
-        bad = np.argwhere(~np.isfinite(vals))
+        bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
-            i, j, cell = bad[0].tolist()
-            raise SolverAbort(
-                f"right-hand side is not finite in cell {cell} of case {i}, state {j}"
-            )
+            raise SolverAbort(f"right-hand side is not finite in {cases.locate(int(bad[0]))}")
     return vals
 
 
@@ -383,17 +408,17 @@ def rhs(state, params, config, dt_ref=None):
     ``state`` is one :class:`SolverState`, with its ``params``, ``config``
     and float ``dt_ref``, and the result a :class:`GridFunction`; or a
     :class:`StateBlock` with the ``params`` and ``config`` of its march and
-    one ``dt_ref`` per case, and the result a ``(cases, states, cells)``
-    array, exactly 0.0 past each case's grid.  ``dt_ref`` is required for
-    the modified Lax-Friedrichs flux, whose dissipation is tied to the
-    current time step.
+    one ``dt_ref`` per case, and the result in the block's flat layout,
+    exactly 0.0 outside the cases' cells.  ``dt_ref`` is required for the
+    modified Lax-Friedrichs flux, whose dissipation is tied to the time step.
 
     Every term of ``rhs_j`` reads only ``u_{j-N} .. u_{j+1}`` and vanishes
     on zero data (both fluxes are 0 at (0, 0)), so ``rhs_j`` is exactly 0.0
-    for ``j < lo = max(first nonzero cell - 1, 0)``, the first nonzero cell
-    of any state of the block; only ``u[..., lo:]`` is assembled.  Besides
-    the memory sum and ``-(c/theta^2) M0 u_j`` the terms are differences of
-    one face flux over dx,
+    for ``j < lo = max(first nonzero cell - 1, 0)``; a lone state assembles
+    only ``u[lo:]``.  A block of more rows assembles its whole flat array
+    and multiplies the entries outside the cases' cells by 0.  Besides the
+    memory sum and ``-(c/theta^2) M0 u_j`` the terms are differences of one
+    face flux over dx,
 
         H_{j+1/2} = g_{j+1/2} + dx (a+ u_{j+1} - a- u_j),
 
@@ -406,18 +431,18 @@ def rhs(state, params, config, dt_ref=None):
     if isinstance(state, SolverState):
         block = _one_case(state, params, config)
         vals = _block_rhs(block, None if dt_ref is None else (dt_ref,))
-        return GridFunction.from_checked(config.grid, vals[0, 0])
+        return GridFunction.from_checked(config.grid, vals[1 : config.grid.num_cells + 1])
     _own_cases(state, params, config)
     return _block_rhs(state, dt_ref)
 
 
-def _denominators(block: StateBlock) -> list[list[float]]:
-    # Per case and state: max|u_j|/dx + 2 nu/dx^2 + (c/theta^2) sum (m+1) w_m.
+def _denominators(block: StateBlock) -> list[float]:
+    # Per case, the largest over its states of
+    # max|u_j|/dx + 2 nu/dx^2 + (c/theta^2) sum (m+1) w_m.
     cases = block.cases
-    return [
-        [umax / dx + a + b for umax in row]
-        for row, dx, a, b in zip(block.umax, cases.dx, cases.diffusion, cases.memory)
-    ]
+    if cases.lone:
+        return [block.umax / cases.dx + cases.diffusion + cases.memory]
+    return (block.umax.max(axis=1) / cases.dx + cases.diffusion + cases.memory).tolist()
 
 
 def _flux_headroom(config: SchemeConfig) -> float:
@@ -455,32 +480,28 @@ def stable_dt(state, params, config, safety: float, dt_max: float = DEFAULT_DT_M
 
 
 def _stable_dts(block: StateBlock, safety: float, dt_max: float) -> list[float]:
-    out = []
-    for row, headroom in zip(_denominators(block), block.cases.headroom):
-        dt = dt_max
-        for d in row:
-            if d > 0.0:
-                dt = min(headroom * safety / d, dt)
-        out.append(dt)
-    return out
+    return [
+        min(h * safety / d, dt_max) if d > 0.0 else dt_max
+        for h, d in zip(block.cases.headroom, _denominators(block))
+    ]
 
 
 def _step_block(block: StateBlock, params, config, dts) -> StateBlock:
     cases = block.cases
     if len(dts) != len(cases.configs):
         raise ValueError(f"need one dt per case, got {len(dts)} for {len(cases.configs)}")
-    for row, headroom, dt in zip(_denominators(block), cases.headroom, dts):
+    for dt, h, d in zip(dts, cases.headroom, _denominators(block)):
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        for d in row:
-            bound = headroom / d if d > 0.0 else math.inf
-            if dt > bound * (1.0 + 1e-12):
-                raise StabilityError(f"dt = {dt!r} exceeds the stability bound {bound!r}")
+        bound = h / d if d > 0.0 else math.inf
+        if dt > bound * (1.0 + 1e-12):
+            raise StabilityError(f"dt = {dt!r} exceeds the stability bound {bound!r}")
     vals = rhs(block, params, config, dt_ref=dts)
     # rhs has checked its own values; a finite rhs can still overflow the
     # update, which the new block's umax reduction catches.
-    vals *= cases.column(dts)
-    vals += block.u
+    rows = vals.reshape(-1, cases.row)
+    rows *= dts[0] if cases.lone else cases.per_row(dts)
+    vals += block.flat
     return StateBlock(tuple(map(operator.add, block.t, dts)), vals, cases)
 
 
@@ -495,20 +516,21 @@ def step_euler(state, params, config, dt):
     """
     if isinstance(state, SolverState):
         new = _step_block(_one_case(state, params, config), params, config, (dt,))
-        return SolverState(new.t[0], GridFunction.from_checked(config.grid, new.u[0, 0]))
+        values = new.flat[1 : config.grid.num_cells + 1]
+        return SolverState(new.t[0], GridFunction.from_checked(config.grid, values))
     _own_cases(state, params, config)
     return _step_block(state, params, config, dt)
 
 
 def _stack(groups, cases: _Cases) -> np.ndarray:
-    """The initial states, one sequence per case, as a zero-padded block."""
-    u = np.zeros((len(groups), len(groups[0]), cases.width))
+    """The initial states, one sequence per case, in the flat layout."""
+    flat = np.zeros(cases.shape)
     for i, (group, config) in enumerate(zip(groups, cases.configs, strict=True)):
-        if len(group) != u.shape[1] or any(f.grid != config.grid for f in group):
+        if len(group) != cases.states or any(f.grid != config.grid for f in group):
             raise ValueError("each case needs as many initial states, on its config's grid")
         for j, initial in enumerate(group):
-            u[i, j, : config.grid.num_cells] = initial.values
-    return u
+            flat[i, j, 1 : config.grid.num_cells + 1] = initial.values
+    return flat.reshape(-1)
 
 
 def march(
@@ -525,37 +547,42 @@ def march(
 
     One case is ``initials``, a sequence of grid functions, with its
     ``params`` and ``config``; several are sequences of these with one entry
-    per case, each case with as many states.  Each case takes its own step,
-    the smallest ``stable_dt`` of its states (at most ``dt_max``), so the
-    states of a case share one dt sequence: the comparison properties (L1
-    contraction, order preservation) need this one time grid.  The step is
-    cut to the gap to the next of the increasing ``targets``, which are
-    landed on exactly; the default target is never reached, so the caller
-    stops.  Cases keep clocks of their own, so a march of several takes the
-    default target only.  The initial data are copied, so the caller's
-    arrays stay writable.
+    per case, each case with as many states; the block's layout and
+    constants are built once (see :class:`_Cases`).  Each case takes its
+    own step, the smallest ``stable_dt`` of its states (at most ``dt_max``),
+    so the states of a case share one dt sequence: the comparison
+    properties (L1 contraction, order preservation) need this one time
+    grid.  The step is cut to the gap to the next of the increasing
+    ``targets``, which are landed on exactly; the default target is never
+    reached, so the caller stops.  Cases keep clocks of their own, so a
+    march of several takes the default target only.  A step that leaves a
+    case's clock unchanged (``t + dt == t``) raises :class:`SolverAbort`.
+    The initial data are copied, so the caller's arrays stay writable.
     """
     _check_step_limits(safety, dt_max)
     targets = tuple(targets)
-    cases = _Cases(params, config)
     one = isinstance(config, SchemeConfig)
     if not one and targets != (math.inf,):
         raise ValueError("a march of several cases takes the default target only")
-    u = _stack([initials] if one else initials, cases)
-    block = StateBlock((0.0,) * u.shape[0], u, cases)
+    groups = [initials] if one else initials
+    cases = _Cases(params, config, len(groups[0]))
+    block = StateBlock((0.0,) * len(cases.configs), _stack(groups, cases), cases)
     for target in targets:
         while block.t[0] < target:
             dts = []
             lands = False
-            for bound, t in zip(stable_dt(block, params, config, safety, dt_max), block.t):
+            bounds = stable_dt(block, params, config, safety, dt_max)
+            for i, (bound, t) in enumerate(zip(bounds, block.t)):
                 gap = target - t
                 dt = min(bound, gap)
                 if dt >= gap * (1.0 - 1e-14):
                     dt, lands = gap, True
+                if t + dt == t:
+                    raise SolverAbort(f"the step of case {i} at t = {t!r} does not advance its time")
                 dts.append(dt)
             block = step_euler(block, params, config, dts)
             if lands:  # one case, which lands on the target exactly
-                block = StateBlock((target,), block.u, cases)
+                block = StateBlock((target,), block.flat, cases)
             yield tuple(dts), block
 
 
@@ -568,19 +595,19 @@ def _boundary_contact(u: GridFunction, u0_linf: float) -> bool:
     return edge > _BOUNDARY_FRACTION * u0_linf
 
 
-def _log_sums(dt: float, block: StateBlock) -> tuple:
-    """``(t, dt, sum u, sum |u|, sum u^2, max|u|)`` of a one-state block,
-    the raw row of the step log.
+def _log_sums(dt: float, block: StateBlock, cells: slice) -> tuple:
+    """``(t, dt, sum u, sum |u|, sum u^2, max|u|)`` of a lone-state block
+    whose grid function is ``block.flat[cells]``, the raw row of the step log.
 
     The pairwise sums are accurate to O(eps log n), far inside the 1e-12
     monotonicity and 1e-8 mass tolerances; exactly rounded sums are left to
     grid.norm and grid.mass, which snapshot analysis uses.  A function of
     its own, so that no array outlives the row.
     """
-    v = block.u[0, 0]
+    v = block.flat[cells]
     av = np.abs(v)
     return (block.t[0], dt, np.add.reduce(v), np.add.reduce(av),
-            np.add.reduce(np.square(av, out=av)), block.umax[0][0])
+            np.add.reduce(np.square(av, out=av)), block.umax)
 
 
 def run(
@@ -621,6 +648,7 @@ def run(
     u0_linf = norm(initial, math.inf)
     rows = []  # one tuple of _log_sums per kept step
     grid = config.grid
+    cells = slice(1, grid.num_cells + 1)  # the grid function in the flat layout
 
     block = None  # the last good state after the first step
     k = 0  # index of the next snapshot time
@@ -630,9 +658,9 @@ def run(
         try:
             for count, ((dt,), block) in enumerate(steps, 1):
                 if count % report_every == 0:
-                    rows.append(_log_sums(dt, block))
+                    rows.append(_log_sums(dt, block, cells))
                 while k < len(snaps) and block.t[0] >= snaps[k]:
-                    snap = GridFunction.from_checked(grid, block.u[0, 0].copy())
+                    snap = GridFunction.from_checked(grid, block.flat[cells].copy())
                     record.snapshots.append((snaps[k], snap))
                     if (u0_linf > 0.0 and not record.boundary_warning
                             and _boundary_contact(snap, u0_linf)):
@@ -647,7 +675,7 @@ def run(
         except SolverAbort:
             record.aborted = True
             if block is not None and block.t[0] > record.snapshots[-1][0]:
-                last = GridFunction.from_checked(grid, block.u[0, 0].copy())
+                last = GridFunction.from_checked(grid, block.flat[cells].copy())
                 record.snapshots.append((block.t[0], last))
     log = np.array(rows, dtype=np.float64).reshape(-1, 6)
     dx = grid.dx

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -14,7 +15,9 @@ from augburgers.analysis import (
     self_convergence,
     series_lemma_check,
 )
-from augburgers.grid import GridFunction, make_grid, mass, norm, project_initial
+from augburgers.grid import (
+    GridFunction, d_plus, make_grid, mass, norm, project_initial, zero_pad,
+)
 from augburgers.initial import sine_bumps
 from augburgers.profile import AsymptoticProfile, sample_on_grid
 from augburgers.scheme import PhysicalParams, RunRecord
@@ -190,6 +193,86 @@ class TestNWaveDiagnostic:
         assert d.positive_mass + d.negative_mass == pytest.approx(
             mass(w), rel=1e-13, abs=1e-13
         )
+
+
+def criterion_08_corpora():
+    """The random corpora of acceptance criterion 08, drawn as it draws them:
+    1000 grid functions, then 1000 ``(a, phi, n)`` series cases."""
+    rng = np.random.default_rng(2024)
+    functions = []
+    for _ in range(1000):
+        n = int(rng.integers(3, 201))
+        dx = float(rng.uniform(0.01, 1.0))
+        vals = 2.0 * rng.random(n) - 1.0
+        if not np.any(vals):
+            vals[0] = 1.0
+        functions.append(GridFunction(make_grid(0.0, n * dx, dx), vals))
+    series = [
+        (float(rng.uniform(0.01, 0.99)), float(rng.uniform(-math.pi, math.pi)),
+         int(rng.integers(1, 101)))
+        for _ in range(1000)
+    ]
+    return functions, series
+
+
+def gns_oracle(w, p):
+    """Both sides of the Gagliardo-Nirenberg inequality from grid.norm, one
+    function at a time."""
+    g = GridFunction(w.grid, np.abs(w.values) ** (p / 2.0))
+    grad = norm(d_plus(zero_pad(g, 1, 1)), 2)
+    lhs = norm(w, p) ** (p * (p + 1.0) / (p - 1.0))
+    return lhs, 4.0 * norm(w, 1) ** (2.0 * p / (p - 1.0)) * grad * grad
+
+
+def series_oracle(a, phi, n):
+    """Both sides of the series bound by a direct complex loop over k."""
+    s1, s2 = 0j, 0.0
+    for k in range(1, n + 1):
+        half = 0.5 * k * phi
+        s1 += a**k * 2j * math.sin(half) * cmath.exp(1j * half)
+        s2 += k * a**k
+    half = 0.5 * phi
+    lhs = abs(s1 - s2 * 2j * math.sin(half) * cmath.exp(-1j * half))
+    return lhs, 4.0 * math.sin(half) ** 2 * a / (1.0 - a) ** 3
+
+
+class TestInequalityOracles:
+    """The array-valued inequality checks against scalar oracles on the
+    corpora of acceptance criterion 08."""
+
+    def test_gns_rows_match_oracle(self):
+        functions, _ = criterion_08_corpora()
+        for p in (2.0, 3.0, 4.0):
+            res = gns_inequality_check(functions, p)
+            for i, w in enumerate(functions):
+                lhs, rhs = gns_oracle(w, p)
+                assert res.lhs[i] == pytest.approx(lhs, rel=1e-13, abs=0.0)
+                assert res.rhs[i] == pytest.approx(rhs, rel=1e-13, abs=0.0)
+                assert res.holds[i] == (lhs <= rhs)
+
+    def test_gns_mixed_exponents_and_one_row(self):
+        functions, _ = criterion_08_corpora()
+        functions, ps = functions[:30], [2.0, 3.0, 4.0] * 10
+        res = gns_inequality_check(functions, ps)
+        for i in (0, 11, 29):
+            # One function is one row; a row padded to the widest function
+            # sums its terms in other blocks, so the last bits may differ.
+            one = gns_inequality_check(functions[i], ps[i])
+            assert type(one.holds) is bool and one.holds == res.holds[i]
+            assert one.lhs == pytest.approx(res.lhs[i], rel=1e-14, abs=0.0)
+            assert one.rhs == pytest.approx(res.rhs[i], rel=1e-14, abs=0.0)
+
+    def test_series_rows_match_oracle(self):
+        _, series = criterion_08_corpora()
+        a, phi, n = zip(*series)
+        res = series_lemma_check(a, phi, n)
+        for i, case in enumerate(series):
+            lhs, rhs = series_oracle(*case)
+            assert res.lhs[i] == pytest.approx(lhs, rel=1e-13, abs=0.0)
+            assert res.rhs[i] == pytest.approx(rhs, rel=1e-13, abs=0.0)
+            assert res.holds[i] == (lhs <= rhs)
+        one = series_lemma_check(*series[7])
+        assert (one.holds, one.lhs, one.rhs) == (res.holds[7], res.lhs[7], res.rhs[7])
 
 
 class TestGnsInequality:

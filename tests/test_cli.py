@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from augburgers import checks, cli
 from augburgers.cli import ConfigError, ExperimentConfig, main, parse_config
+from augburgers.grid import GridFunction, norm
 
 
 def read(path):
@@ -621,6 +622,19 @@ class TestCheckCommand:
                     lo, hi = ranges[key]
                     assert type(val) is type(lo) is type(hi), (name, key)
                     assert lo <= val <= hi, (name, key, val)
+
+    def test_l1_distances_match_exact_norm(self):
+        # The batched per-step L1 distances of l1_contraction against
+        # grid.norm of each case's difference, step by step.
+        problems = [checks._scaled_pair({"case_seed": s}) for s in range(6)]
+        dx = np.array([config.grid.dx for _, _, config in problems])
+        for _, block in checks._stepped(problems):
+            got = checks._l1_distances(block.u[:, 0] - block.u[:, 1], dx)
+            for i, (_, _, config) in enumerate(problems):
+                n = config.grid.num_cells
+                diff = GridFunction(config.grid, block.u[i, 0, :n] - block.u[i, 1, :n])
+                want = norm(diff, 1)
+                assert abs(got[i] - want) <= 1e-14 * want
 
     def test_run_suite_passes_every_suite(self):
         rng = np.random.default_rng(0)

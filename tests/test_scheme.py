@@ -766,6 +766,31 @@ class TestLockstep:
         steps = list(itertools.islice(march(cases, [params] * 3, [config] * 3), 4))
         assert counts == {"stable_dt": len(steps), "step_euler": len(steps)}
 
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_stalled_clock_aborts(self, monkeypatch, case):
+        # A step that leaves a case's clock unchanged raises SolverAbort,
+        # naming the case, where the march would otherwise loop for ever.
+        grid, params, config = make_setup()
+        u0 = interior_state(grid, np.random.default_rng(15), 20).u
+        original = scheme.stable_dt
+
+        def stalling(block, *args):
+            bounds = original(block, *args)
+            return [t * 1e-17 if i == case and t > 0.0 else b
+                    for i, (t, b) in enumerate(zip(block.t, bounds))]
+
+        monkeypatch.setattr(scheme, "stable_dt", stalling)
+        if case:
+            steps = march([[u0], [u0]], [params] * 2, [config] * 2)
+        else:
+            steps = march([u0], params, config)
+        with pytest.raises(SolverAbort, match=f"case {case} at t = "):
+            list(itertools.islice(steps, 3))
+        if case == 0:
+            record = run(u0, params, config, t_end=1.0)
+            assert record.aborted
+            assert record.snapshots[-1][0] < 1.0
+
     def test_open_ended_until_stopped(self):
         grid, params, config = make_setup()
         u0 = interior_state(grid, np.random.default_rng(12), 20).u
@@ -825,14 +850,18 @@ class TestBlock:
     EO, MLF = FluxKind.ENGQUIST_OSHER, FluxKind.MODIFIED_LAX_FRIEDRICHS
     CORRECTED, NAIVE = CorrectorMode.CORRECTED, CorrectorMode.NAIVE
     # (nu, c, theta, dx, span, flux, corrector, margin); every case steps a
-    # pair of states, and the last grid has 30 cells, less than one block of
-    # the memory recurrence.
+    # pair of states.  The 30-cell grid is less than one block of the memory
+    # recurrence; the 20-cell grid is narrower than its N = 56 kernel terms,
+    # so it has no truncation; the 90-cell case's data fill its grid, up to
+    # the last cell.
     CASES = [
         (1e-2, 2e-2, 1.0, 0.25, 50.0, EO, CORRECTED, 30),
         (5e-3, 3e-2, 0.6, 0.25, 30.0, MLF, CORRECTED, 20),
         (2e-2, 1e-2, 1.7, 0.25, 70.0, EO, NAIVE, 40),
         (0.0, 4e-2, 0.9, 0.5, 40.0, MLF, NAIVE, 10),
         (3e-2, 0.0, 1.2, 0.5, 15.0, EO, CORRECTED, 5),
+        (1e-2, 3e-2, 2.0, 0.5, 10.0, EO, CORRECTED, 3),
+        (2e-2, 2e-2, 0.8, 0.25, 22.5, EO, CORRECTED, 0),
     ]
 
     @classmethod
@@ -853,16 +882,24 @@ class TestBlock:
         problems = self.problems()
         initials, params, configs = (list(x) for x in zip(*problems))
         assert len({c.grid.num_cells for c in configs}) == len(problems)
+        truncates = [c.quadrature.n_terms < c.grid.num_cells for c in configs]
+        assert not all(truncates) and any(truncates)
+        assert any(states[0].values[-1] != 0.0 for states in initials)
         steps = list(itertools.islice(march(initials, params, configs, dt_max=10.0), 25))
         width = max(c.grid.num_cells for c in configs)
         for i, (states, p, config) in enumerate(problems):
             alone = list(itertools.islice(march(states, p, config, dt_max=10.0), 25))
             dts = [dt[i] for dt, _ in steps]
             assert dts == pytest.approx([dt for (dt,), _ in alone], rel=1e-14, abs=0.0)
+            # Each state also steps alone, a lone state with the block's dts.
+            lone = [SolverState(0.0, u) for u in states]
             n = config.grid.num_cells
-            for (_, block), (_, own) in zip(steps, alone):
+            for (_, block), (_, own), dt in zip(steps, alone, dts):
+                lone = [step_euler(s, p, config, dt) for s in lone]
                 scale = np.abs(own.u).max()
                 assert np.abs(block.u[i, :, :n] - own.u[0]).max() <= 1e-14 * scale
+                for j, s in enumerate(lone):
+                    assert np.abs(block.u[i, j, :n] - s.u.values).max() <= 1e-14 * scale
                 assert np.all(block.u[i, :, n:] == 0.0)
             assert block.u.shape == (len(problems), 2, width)
         # The dt sequences are the cases' own: no two cases share one.

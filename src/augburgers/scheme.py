@@ -177,9 +177,9 @@ class _Cases:
     ``params`` and ``config`` are one object, or one per case, as the step
     functions take them back.  The block is one flat array of
     ``cases x states`` rows: a zero cell, the case's cells, zeros to whole
-    blocks of the recurrence (at least _BLOCK - 1 for a lone state: one
-    case, one state).  A constant all cases share is a float, others are
-    ``(rows, 1)`` columns.
+    blocks of the recurrence, at least one (at least _BLOCK - 1 for a lone
+    state: one case, one state).  A constant all cases share is a float,
+    others are ``(rows, 1)`` columns.
     """
 
     def __init__(self, params, config, states: int = 1) -> None:
@@ -193,31 +193,38 @@ class _Cases:
         widths = [c.grid.num_cells for c in self.configs]
         self.width = max(widths)
         self.lone = k * states == 1
-        self.row = -(-(self.width + (_BLOCK if self.lone else 1)) // _BLOCK) * _BLOCK
+        # Each row ends in at least one zero, the right neighbour of its
+        # last cell; a lone state keeps _BLOCK - 1 for its window.
+        self.row = -(-(self.width + (_BLOCK if self.lone else 2)) // _BLOCK) * _BLOCK
         self.states, self.shape = states, (k, states, self.row)
         self.mlf = [c.flux is FluxKind.MODIFIED_LAX_FRIEDRICHS for c in self.configs]
         self.any_mlf, self.all_mlf = any(self.mlf), all(self.mlf)
         self.levels = _levels([c.quadrature for c in self.configs], self.row)
-        # Per case: dx, 2 nu/dx^2, (c/theta^2) sum (m+1) w_m, headroom;
-        # 1/(4 dx), a-, a+, (c/theta^2) M0, (c/theta^2) p (see rhs); N, q^N.
-        rows = []
+        # Per case, the terms of the step bound (see _denominators) and the
+        # constants of rhs.
+        dx, diffusion, memory, self.headroom = [], [], [], []
+        quarter, a_minus, a_plus, mem_m0, mem_p, n_terms, q_n = ([] for _ in range(7))
         for p, c in zip(self.params, self.configs):
             quad = c.quadrature
-            dx, theta = c.grid.dx, quad.theta
+            d, theta = c.grid.dx, quad.theta
             m0, m1 = c.corrector_factors()
             mem = p.c / (theta * theta)
             h = quad.dx / theta
-            a_minus = p.nu / (dx * dx)
-            rows.append((dx, 2.0 * p.nu / (dx * dx), mem * quad.stability_sum,
-                         _flux_headroom(c), 0.25 / dx, a_minus,
-                         a_minus + p.c * m1 / (theta * dx), mem * m0, mem * -math.expm1(-h),
-                         quad.n_terms, math.exp(-quad.n_terms * h)))
-        per_case = list(zip(*rows))
+            dx.append(d)
+            diffusion.append(2.0 * p.nu / (d * d))
+            memory.append(mem * quad.stability_sum)
+            self.headroom.append(_flux_headroom(c))
+            quarter.append(0.25 / d)
+            a_minus.append(p.nu / (d * d))
+            a_plus.append(a_minus[-1] + p.c * m1 / (theta * d))
+            mem_m0.append(mem * m0)
+            mem_p.append(mem * -math.expm1(-h))
+            n_terms.append(quad.n_terms)
+            q_n.append(math.exp(-quad.n_terms * h))
         self.dx, self.diffusion, self.memory = (
-            v[0] if self.lone else np.array(v) for v in per_case[:3])
-        self.headroom, n_terms, q_n = per_case[3], per_case[9], per_case[10]
-        self.quarter, self.a_minus, self.a_plus, self.mem_m0, self.mem_p = map(
-            self.per_row, per_case[4:9])
+            v[0] if self.lone else np.array(v) for v in (dx, diffusion, memory))
+        self.quarter, self.a_minus, self.a_plus = map(self.per_row, (quarter, a_minus, a_plus))
+        self.mem_m0, self.mem_p = self.per_row(mem_m0), self.per_row(mem_p)
         self.eo = None  # 1.0 on the EO rows where the block mixes the two fluxes
         if self.any_mlf and not self.all_mlf:
             self.eo = self.per_row([0.0 if f else 1.0 for f in self.mlf])
@@ -226,7 +233,7 @@ class _Cases:
             return
         # The memory input's factor (c/theta^2) p scales the level-0 matrices.
         t = self.levels[0][0]
-        t *= np.reshape(per_case[8], (-1,) + (1,) * (t.ndim - 1))
+        t *= np.reshape(mem_p, (-1,) + (1,) * (t.ndim - 1))
         # Entry j of a row is cell j - 1.  The q^N truncation gathers the sum
         # N cells back for cells j - 1 >= N, else entry 0, which is 0.0.
         # Fills and slices build both: a NumPy kernel's first run pages in

@@ -853,7 +853,9 @@ class TestBlock:
     # pair of states.  The 30-cell grid is less than one block of the memory
     # recurrence; the 20-cell grid is narrower than its N = 56 kernel terms,
     # so it has no truncation; the 90-cell case's data fill its grid, up to
-    # the last cell.
+    # the last cell.  The last case is the widest, and its 287 cells are one
+    # short of whole blocks, so the block's last entry is a padding zero only
+    # if each row keeps one; its data reach its last cell.
     CASES = [
         (1e-2, 2e-2, 1.0, 0.25, 50.0, EO, CORRECTED, 30),
         (5e-3, 3e-2, 0.6, 0.25, 30.0, MLF, CORRECTED, 20),
@@ -862,6 +864,7 @@ class TestBlock:
         (3e-2, 0.0, 1.2, 0.5, 15.0, EO, CORRECTED, 5),
         (1e-2, 3e-2, 2.0, 0.5, 10.0, EO, CORRECTED, 3),
         (2e-2, 2e-2, 0.8, 0.25, 22.5, EO, CORRECTED, 0),
+        (1.5e-2, 2.5e-2, 1.3, 0.25, 71.75, EO, CORRECTED, 0),
     ]
 
     @classmethod
@@ -885,6 +888,9 @@ class TestBlock:
         truncates = [c.quadrature.n_terms < c.grid.num_cells for c in configs]
         assert not all(truncates) and any(truncates)
         assert any(states[0].values[-1] != 0.0 for states in initials)
+        widths = [c.grid.num_cells for c in configs]
+        assert widths[-1] == max(widths) and (widths[-1] + 1) % 32 == 0
+        assert initials[-1][0].values[-1] != 0.0
         steps = list(itertools.islice(march(initials, params, configs, dt_max=10.0), 25))
         width = max(c.grid.num_cells for c in configs)
         for i, (states, p, config) in enumerate(problems):

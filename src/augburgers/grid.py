@@ -1,4 +1,4 @@
-"""Uniform 1-D mesh, piecewise-constant grid functions and discrete calculus.
+"""Uniform 1-D mesh, piecewise-constant grid functions, their norms and mass.
 
 Grid functions represent compactly supported data on the real line, truncated
 to a finite window of uniform cells; everything outside the window is taken to
@@ -26,10 +26,8 @@ __all__ = [
     "PiecewiseInitial",
     "make_grid",
     "project_initial",
-    "d_plus",
     "norm",
     "mass",
-    "zero_pad",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -229,11 +227,6 @@ def project_initial(f, grid: Grid) -> GridFunction:
     return GridFunction(grid, avgs)
 
 
-def d_plus(w: GridFunction) -> GridFunction:
-    """Forward difference (w_{j+1} - w_j)/dx with zero extension on the right."""
-    return GridFunction(w.grid, np.diff(w.values, append=0.0) / w.grid.dx)
-
-
 def _validate_p(p: float) -> float:
     p = float(p)
     if math.isnan(p) or p < 1.0:
@@ -297,24 +290,3 @@ def mass(w: GridFunction) -> float:
     """
     vals = w.values
     return w.grid.dx * _exact_sum(vals, np.abs(vals))
-
-
-def zero_pad(w: GridFunction, left: int, right: int) -> GridFunction:
-    """Embed ``w`` in a grid extended by zero cells on each side.
-
-    Padding makes the implicit zero extension explicit, e.g. so that forward
-    and backward differences carry the boundary jumps of compactly supported
-    data.
-    """
-    if left < 0 or right < 0:
-        raise ValueError("padding must be nonnegative")
-    g = w.grid
-    new = Grid(
-        x_left=g.x_left - left * g.dx,
-        x_right=g.x_right + right * g.dx,
-        dx=g.dx,
-        num_cells=g.num_cells + left + right,
-    )
-    vals = np.zeros(new.num_cells)
-    vals[left : left + g.num_cells] = w.values
-    return GridFunction(new, vals)

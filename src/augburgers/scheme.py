@@ -31,10 +31,12 @@ the exact recurrence (recursive convolution)
 
 in O(n) work at any N, blocked as products with triangular Toeplitz
 matrices.  The other terms are differences of one face flux, plus
-``-M0 u_j`` (see :func:`rhs`).  A :class:`SolverState` takes ``max|u|``
-once, when it is built: that one reduction is both its finiteness check and
-the bound of its next step.  :func:`march` steps the states of independent
-cases, each with its own parameters, as one flat :class:`StateBlock`.
+``-M0 u_j`` (see :func:`rhs`).  A :class:`StateBlock` holds the states of
+independent cases, each with its own parameters, in one flat array and
+takes each state's ``max|u|`` once, when it is built: that one reduction is
+both its finiteness check and the bound of its next step.  :func:`march`,
+the one time loop, steps a block with :func:`stable_dt` and
+:func:`step_euler`.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ __all__ = [
     "CorrectorMode",
     "PhysicalParams",
     "SchemeConfig",
-    "SolverState",
     "StateBlock",
     "RunRecord",
     "StabilityError",
@@ -145,34 +146,9 @@ class SchemeConfig:
         return 1.0, 1.0
 
 
-@dataclass(frozen=True)
-class SolverState:
-    """Simulation time, current grid function and its ``umax = max|u_j|``.
-
-    ``umax`` is taken once, here: the one reduction is also the finiteness
-    check (:class:`SolverAbort` on NaN or inf), and it bounds the next step.
-    The values are made read-only so that ``umax`` cannot go stale; a
-    caller that keeps writing to its array passes a copy.
-    """
-
-    t: float
-    u: GridFunction
-    umax: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t) and self.t >= 0.0):
-            raise ValueError(f"t must be finite and >= 0, got {self.t}")
-        vals = self.u.values
-        umax = float(np.abs(vals).max())
-        if not math.isfinite(umax):
-            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise SolverAbort(f"non-finite value in cell {bad} at t = {self.t!r}")
-        vals.setflags(write=False)
-        object.__setattr__(self, "umax", umax)
-
-
 class _Cases:
-    """The cases of a block, its layout and constants, built once per march.
+    """The cases of a block, its layout and constants, built once by
+    :meth:`StateBlock.start`.
 
     ``params`` and ``config`` are one object, or one per case, as the step
     functions take them back.  The block is one flat array of
@@ -182,7 +158,7 @@ class _Cases:
     others are ``(rows, 1)`` columns.
     """
 
-    def __init__(self, params, config, states: int = 1) -> None:
+    def __init__(self, params, config, states: int) -> None:
         self.given = (params, config)
         if isinstance(config, SchemeConfig):
             params, config = (params,), (config,)
@@ -260,12 +236,15 @@ class _Cases:
 
 @dataclass(frozen=True)
 class StateBlock:
-    """The states of a march at one step, read-only.
+    """The states of independent cases at one step, read-only.
 
-    ``flat`` is the march's layout (see :class:`_Cases`) and ``u`` its
+    ``flat`` is the layout of the cases (see :class:`_Cases`) and ``u`` its
     ``(cases, states, cells)`` view; cells past a shorter grid are exactly
-    0.0.  ``t[i]`` is case i's time; ``umax``, each state's max|u| (a float
-    for a lone state), is the finiteness check, as for :class:`SolverState`.
+    0.0.  ``t[i]`` is case i's time.  ``umax``, each state's max|u| (a float
+    for a lone state), is taken once, here: the one reduction is also the
+    finiteness check (:class:`SolverAbort` on NaN or inf), and ``flat`` is
+    made read-only so that ``umax`` cannot go stale.  :meth:`start` builds
+    the first block.
     """
 
     t: tuple[float, ...]
@@ -288,6 +267,26 @@ class StateBlock:
         vals.setflags(write=False)
         object.__setattr__(self, "umax", umax)
 
+    @classmethod
+    def start(cls, initials, params, config) -> StateBlock:
+        """The block of ``initials`` at t = 0, in a layout built for them.
+
+        One case is ``initials``, a sequence of grid functions, with its
+        ``params`` and ``config``; several are sequences of these with one
+        entry per case, each case with as many states.  The step functions
+        take the block with the same ``params`` and ``config`` objects.  The
+        initial data are copied, so the caller's arrays stay writable.
+        """
+        groups = [initials] if isinstance(config, SchemeConfig) else initials
+        cases = _Cases(params, config, len(groups[0]))
+        flat = np.zeros(cases.shape)
+        for i, (group, c) in enumerate(zip(groups, cases.configs, strict=True)):
+            if len(group) != cases.states or any(f.grid != c.grid for f in group):
+                raise ValueError("each case needs as many initial states, on its config's grid")
+            for j, initial in enumerate(group):
+                flat[i, j, 1 : c.grid.num_cells + 1] = initial.values
+        return cls((0.0,) * len(cases.configs), flat.reshape(-1), cases)
+
     @property
     def u(self) -> np.ndarray:
         cases = self.cases
@@ -297,14 +296,8 @@ class StateBlock:
 def _own_cases(block: StateBlock, params, config) -> _Cases:
     cases = block.cases
     if params is not cases.given[0] or config is not cases.given[1]:
-        raise ValueError("a block steps with the params and config it was marched with")
+        raise ValueError("a block steps with the params and config it was built with")
     return cases
-
-
-def _one_case(state: SolverState, params: PhysicalParams, config: SchemeConfig) -> StateBlock:
-    """``state`` as a block of one case with one state."""
-    cases = _Cases(params, config)
-    return StateBlock((state.t,), _stack([[state.u]], cases), cases)
 
 
 @dataclass
@@ -374,8 +367,32 @@ def _face_flux_difference(win: np.ndarray, cases: _Cases, a_minus, a_plus, out=N
     return right
 
 
-def _block_rhs(block: StateBlock, dt_ref) -> np.ndarray:
-    cases, flat = block.cases, block.flat
+def rhs(block: StateBlock, params, config, dt_ref=None) -> np.ndarray:
+    """Evaluate the semi-discrete right-hand side of a block's states.
+
+    ``params`` and ``config`` are those the block was built with, and
+    ``dt_ref`` has one entry per case; it is required for the modified
+    Lax-Friedrichs flux, whose dissipation is tied to the time step.  The
+    result is in the block's flat layout, exactly 0.0 outside the cases'
+    cells.
+
+    Every term of ``rhs_j`` reads only ``u_{j-N} .. u_{j+1}`` and vanishes
+    on zero data (both fluxes are 0 at (0, 0)), so ``rhs_j`` is exactly 0.0
+    for ``j < lo = max(first nonzero cell - 1, 0)``; a lone state (one
+    case, one state) assembles only ``u[lo:]``.  A block of more rows
+    assembles its whole flat array and multiplies the entries outside the
+    cases' cells by 0.  Besides the memory sum and ``-(c/theta^2) M0 u_j``
+    the terms are differences of one face flux over dx,
+
+        H_{j+1/2} = g_{j+1/2} + dx (a+ u_{j+1} - a- u_j),
+
+    with ``a- = nu/dx^2`` and ``a+ = nu/dx^2 + c M1/(theta dx)``; the modified
+    Lax-Friedrichs dissipation adds ``1/(4 dt_ref)`` to both.  Each flux is
+    a part of the left state plus a part of the right (Engquist-Osher
+    ``a(a-|a|)/4 + b(b+|b|)/4``, modified Lax-Friedrichs ``a^2/4 + b^2/4``
+    plus the dissipation), so ``H_{j+1/2} = L(u_j) + R(u_{j+1})``.
+    """
+    cases, flat = _own_cases(block, params, config), block.flat
     a_minus, a_plus = cases.a_minus, cases.a_plus
     if cases.any_mlf:
         if dt_ref is None or not min(dt_ref) > 0.0:
@@ -409,40 +426,6 @@ def _block_rhs(block: StateBlock, dt_ref) -> np.ndarray:
     return vals
 
 
-def rhs(state, params, config, dt_ref=None):
-    """Evaluate the semi-discrete right-hand side at the current state.
-
-    ``state`` is one :class:`SolverState`, with its ``params``, ``config``
-    and float ``dt_ref``, and the result a :class:`GridFunction`; or a
-    :class:`StateBlock` with the ``params`` and ``config`` of its march and
-    one ``dt_ref`` per case, and the result in the block's flat layout,
-    exactly 0.0 outside the cases' cells.  ``dt_ref`` is required for the
-    modified Lax-Friedrichs flux, whose dissipation is tied to the time step.
-
-    Every term of ``rhs_j`` reads only ``u_{j-N} .. u_{j+1}`` and vanishes
-    on zero data (both fluxes are 0 at (0, 0)), so ``rhs_j`` is exactly 0.0
-    for ``j < lo = max(first nonzero cell - 1, 0)``; a lone state assembles
-    only ``u[lo:]``.  A block of more rows assembles its whole flat array
-    and multiplies the entries outside the cases' cells by 0.  Besides the
-    memory sum and ``-(c/theta^2) M0 u_j`` the terms are differences of one
-    face flux over dx,
-
-        H_{j+1/2} = g_{j+1/2} + dx (a+ u_{j+1} - a- u_j),
-
-    with ``a- = nu/dx^2`` and ``a+ = nu/dx^2 + c M1/(theta dx)``; the modified
-    Lax-Friedrichs dissipation adds ``1/(4 dt_ref)`` to both.  Each flux is
-    a part of the left state plus a part of the right (Engquist-Osher
-    ``a(a-|a|)/4 + b(b+|b|)/4``, modified Lax-Friedrichs ``a^2/4 + b^2/4``
-    plus the dissipation), so ``H_{j+1/2} = L(u_j) + R(u_{j+1})``.
-    """
-    if isinstance(state, SolverState):
-        block = _one_case(state, params, config)
-        vals = _block_rhs(block, None if dt_ref is None else (dt_ref,))
-        return GridFunction.from_checked(config.grid, vals[1 : config.grid.num_cells + 1])
-    _own_cases(state, params, config)
-    return _block_rhs(state, dt_ref)
-
-
 def _denominators(block: StateBlock) -> list[float]:
     # Per case, the largest over its states of
     # max|u_j|/dx + 2 nu/dx^2 + (c/theta^2) sum (m+1) w_m.
@@ -468,33 +451,37 @@ def _check_step_limits(safety: float, dt_max: float) -> None:
         raise ValueError(f"dt_max must be positive, got {dt_max}")
 
 
-def stable_dt(state, params, config, safety: float, dt_max: float = DEFAULT_DT_MAX):
-    """Largest admissible explicit step times ``safety``, capped at ``dt_max``.
+def stable_dt(
+    block: StateBlock, params, config, safety: float, dt_max: float = DEFAULT_DT_MAX
+) -> list[float]:
+    """Largest admissible explicit step of each case times ``safety``,
+    capped at ``dt_max``: the smallest over the case's states.
 
     The bound is ``safety / (max|u_j|/dx + 2 nu/dx^2 + (c/theta^2) sum (m+1) w_m)``
-    and is recomputed from the current state, so the step adapts as the
-    solution decays.  For the modified Lax-Friedrichs flux the bound is
-    halved: its built-in dissipation adds ``1/(2 dt)`` to the diagonal of the
-    update, which consumes half the stability slack.  A :class:`SolverState`
-    gets a float; a :class:`StateBlock` (see :func:`rhs`) one per case, the
-    smallest over the case's states.
+    and is recomputed from the block, so the step adapts as the solution
+    decays.  For the modified Lax-Friedrichs flux the bound is halved: its
+    built-in dissipation adds ``1/(2 dt)`` to the diagonal of the update,
+    which consumes half the stability slack.  ``params`` and ``config`` are
+    the block's (see :func:`rhs`).
     """
     _check_step_limits(safety, dt_max)
-    if isinstance(state, SolverState):
-        return _stable_dts(_one_case(state, params, config), safety, dt_max)[0]
-    _own_cases(state, params, config)
-    return _stable_dts(state, safety, dt_max)
-
-
-def _stable_dts(block: StateBlock, safety: float, dt_max: float) -> list[float]:
+    cases = _own_cases(block, params, config)
     return [
         min(h * safety / d, dt_max) if d > 0.0 else dt_max
-        for h, d in zip(block.cases.headroom, _denominators(block))
+        for h, d in zip(cases.headroom, _denominators(block))
     ]
 
 
-def _step_block(block: StateBlock, params, config, dts) -> StateBlock:
-    cases = block.cases
+def step_euler(block: StateBlock, params, config, dts) -> StateBlock:
+    """One forward-Euler step ``u <- u + dt * rhs(u)`` of a block's states.
+
+    ``dts`` has one entry per case, shared by the case's states, and
+    ``params`` and ``config`` are the block's (see :func:`rhs`).  A step
+    beyond the stability bound is rejected outright, never clipped.  The
+    bound reads the block's ``umax``; building the new block checks that it
+    is finite.
+    """
+    cases = _own_cases(block, params, config)
     if len(dts) != len(cases.configs):
         raise ValueError(f"need one dt per case, got {len(dts)} for {len(cases.configs)}")
     for dt, h, d in zip(dts, cases.headroom, _denominators(block)):
@@ -512,34 +499,6 @@ def _step_block(block: StateBlock, params, config, dts) -> StateBlock:
     return StateBlock(tuple(map(operator.add, block.t, dts)), vals, cases)
 
 
-def step_euler(state, params, config, dt):
-    """One forward-Euler step ``u <- u + dt * rhs(u)``.
-
-    A step beyond the stability bound is rejected outright, never clipped.
-    The bound reads the state's ``umax``; building the new state checks
-    that it is finite.  A :class:`SolverState` takes a float ``dt``; a
-    :class:`StateBlock` (see :func:`rhs`) one per case, shared by the
-    case's states.
-    """
-    if isinstance(state, SolverState):
-        new = _step_block(_one_case(state, params, config), params, config, (dt,))
-        values = new.flat[1 : config.grid.num_cells + 1]
-        return SolverState(new.t[0], GridFunction.from_checked(config.grid, values))
-    _own_cases(state, params, config)
-    return _step_block(state, params, config, dt)
-
-
-def _stack(groups, cases: _Cases) -> np.ndarray:
-    """The initial states, one sequence per case, in the flat layout."""
-    flat = np.zeros(cases.shape)
-    for i, (group, config) in enumerate(zip(groups, cases.configs, strict=True)):
-        if len(group) != cases.states or any(f.grid != config.grid for f in group):
-            raise ValueError("each case needs as many initial states, on its config's grid")
-        for j, initial in enumerate(group):
-            flat[i, j, 1 : config.grid.num_cells + 1] = initial.values
-    return flat.reshape(-1)
-
-
 def march(
     initials,
     params,
@@ -552,28 +511,23 @@ def march(
     yielding ``(dt, block)`` per step: the :class:`StateBlock` after the
     step and the dt each case took.
 
-    One case is ``initials``, a sequence of grid functions, with its
-    ``params`` and ``config``; several are sequences of these with one entry
-    per case, each case with as many states; the block's layout and
-    constants are built once (see :class:`_Cases`).  Each case takes its
-    own step, the smallest ``stable_dt`` of its states (at most ``dt_max``),
-    so the states of a case share one dt sequence: the comparison
-    properties (L1 contraction, order preservation) need this one time
-    grid.  The step is cut to the gap to the next of the increasing
-    ``targets``, which are landed on exactly; the default target is never
-    reached, so the caller stops.  Cases keep clocks of their own, so a
-    march of several takes the default target only.  A step that leaves a
-    case's clock unchanged (``t + dt == t``) raises :class:`SolverAbort`.
-    The initial data are copied, so the caller's arrays stay writable.
+    ``initials``, ``params`` and ``config`` are one case or several, as
+    :meth:`StateBlock.start` takes them; the block's layout and constants
+    are built once (see :class:`_Cases`).  Each case takes its own step,
+    the smallest ``stable_dt`` of its states (at most ``dt_max``), so the
+    states of a case share one dt sequence: the comparison properties (L1
+    contraction, order preservation) need this one time grid.  The step is
+    cut to the gap to the next of the increasing ``targets``, which are
+    landed on exactly; the default target is never reached, so the caller
+    stops.  Cases keep clocks of their own, so a march of several takes the
+    default target only.  A step that leaves a case's clock unchanged
+    (``t + dt == t``) raises :class:`SolverAbort`.
     """
     _check_step_limits(safety, dt_max)
     targets = tuple(targets)
-    one = isinstance(config, SchemeConfig)
-    if not one and targets != (math.inf,):
+    if not isinstance(config, SchemeConfig) and targets != (math.inf,):
         raise ValueError("a march of several cases takes the default target only")
-    groups = [initials] if one else initials
-    cases = _Cases(params, config, len(groups[0]))
-    block = StateBlock((0.0,) * len(cases.configs), _stack(groups, cases), cases)
+    block = StateBlock.start(initials, params, config)
     for target in targets:
         while block.t[0] < target:
             dts = []
@@ -589,7 +543,7 @@ def march(
                 dts.append(dt)
             block = step_euler(block, params, config, dts)
             if lands:  # one case, which lands on the target exactly
-                block = StateBlock((target,), block.flat, cases)
+                block = StateBlock((target,), block.flat, block.cases)
             yield tuple(dts), block
 
 

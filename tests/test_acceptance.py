@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 from augburgers import analysis, profile, scheme
-from augburgers.grid import GridFunction, d_plus, make_grid, mass, norm, project_initial
+from augburgers.grid import GridFunction, make_grid, mass, norm, project_initial
 from augburgers.initial import sine_bumps
 from augburgers.kernel import build, choose_n
 from augburgers.scheme import CorrectorMode, FluxKind, PhysicalParams, SchemeConfig
@@ -25,6 +25,11 @@ SAFETY = 0.9
 X_LEFT, X_RIGHT = -160.0, 160.0
 T_END = 1e4
 TARGET_MASS = 0.15
+
+
+def d_plus(w):
+    """Forward difference (w_{j+1} - w_j)/dx with zero extension on the right."""
+    return GridFunction(w.grid, np.diff(w.values, append=0.0) / w.grid.dx)
 
 
 def report(number, description, ok, detail=""):

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from augburgers.grid import (
     Grid,
     GridFunction,
-    d_plus,
     make_grid,
     mass,
     norm,
     project_initial,
-    zero_pad,
 )
 from augburgers.initial import sine_bumps
 
@@ -23,9 +21,27 @@ def gf(values, dx=1.0):
     return GridFunction(make_grid(0.0, len(values) * dx, dx), values)
 
 
+def d_plus(w):
+    """Forward difference (w_{j+1} - w_j)/dx with zero extension on the right."""
+    return GridFunction(w.grid, np.diff(w.values, append=0.0) / w.grid.dx)
+
+
 def d_minus(w):
     """Backward difference (w_j - w_{j-1})/dx with zero extension on the left."""
     return GridFunction(w.grid, np.diff(w.values, prepend=0.0) / w.grid.dx)
+
+
+def zero_pad(w, left, right):
+    """``w`` on its grid extended by ``left`` and ``right`` zero cells, which
+    makes the zero extension explicit."""
+    g = w.grid
+    grid = Grid(
+        x_left=g.x_left - left * g.dx,
+        x_right=g.x_right + right * g.dx,
+        dx=g.dx,
+        num_cells=g.num_cells + left + right,
+    )
+    return GridFunction(grid, np.pad(w.values, (left, right)))
 
 
 finite_arrays = st.lists(

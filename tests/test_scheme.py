@@ -17,8 +17,8 @@ from augburgers.scheme import (
     PhysicalParams,
     SchemeConfig,
     SolverAbort,
-    SolverState,
     StabilityError,
+    StateBlock,
     march,
     rhs,
     run,
@@ -51,19 +51,37 @@ def make_setup(
     return grid, params, config
 
 
-def interior_state(grid, rng, margin, amp=0.3):
+def interior_data(grid, rng, margin, amp=0.3):
     vals = np.zeros(grid.num_cells)
     inner = grid.num_cells - 2 * margin
     vals[margin : margin + inner] = amp * (2.0 * rng.random(inner) - 1.0)
-    return SolverState(0.0, GridFunction(grid, vals))
+    return GridFunction(grid, vals)
+
+
+def lone(u, params, config):
+    """The grid function ``u`` as a block of one case with one state."""
+    return StateBlock.start([u], params, config)
+
+
+def lone_rhs(u, params, config, dt_ref=None):
+    """``rhs`` of ``u`` alone, on the cells of its grid; the entries of the
+    flat layout outside them are exactly 0.0."""
+    vals = rhs(lone(u, params, config), params, config,
+               None if dt_ref is None else [dt_ref])
+    n = config.grid.num_cells
+    assert vals[0] == 0.0 and not vals[n + 1 :].any()
+    return vals[1 : n + 1]
+
+
+def lone_bound(states, params, config, safety=0.9, dt_max=scheme.DEFAULT_DT_MAX):
+    """The smallest ``stable_dt`` of the grid functions, each alone."""
+    return min(stable_dt(lone(u, params, config), params, config, safety, dt_max)[0]
+               for u in states)
 
 
 def states_of(block, grid, case=0):
     """The states of one case of a march's block, on its own grid."""
-    return [
-        SolverState(block.t[case], GridFunction(grid, row[: grid.num_cells]))
-        for row in block.u[case]
-    ]
+    return [GridFunction(grid, row[: grid.num_cells]) for row in block.u[case]]
 
 
 class TestParams:
@@ -93,28 +111,34 @@ def test_flux_kind_tags():
 
 
 class TestSolverState:
+    """The solver's state at one step: a block of one case with one state."""
+
     def test_umax_is_max_abs(self):
-        grid = make_grid(0.0, 2.0, 0.25)
+        grid, params, config = make_setup(dx=0.25, span=2.0)
         vals = np.array([0.0, 0.5, -1.5, 1.25, 0.0, -0.0, 2.0**-1074, 0.0])
-        assert SolverState(0.0, GridFunction(grid, vals)).umax == 1.5
-        zero = SolverState(0.0, GridFunction(grid, np.zeros(grid.num_cells)))
-        assert zero.umax == 0.0
+        block = lone(GridFunction(grid, vals), params, config)
+        assert block.t == (0.0,)
+        assert type(block.umax) is float and block.umax == 1.5
+        zero = lone(GridFunction(grid, np.zeros(grid.num_cells)), params, config)
+        assert type(zero.umax) is float and zero.umax == 0.0
 
     def test_values_are_read_only(self):
-        grid = make_grid(0.0, 2.0, 0.25)
-        state = SolverState(0.0, GridFunction(grid, np.ones(grid.num_cells)))
+        grid, params, config = make_setup(dx=0.25, span=2.0)
+        block = lone(GridFunction(grid, np.ones(grid.num_cells)), params, config)
         with pytest.raises(ValueError, match="read-only"):
-            state.u.values[3] = 2.0
+            block.flat[3] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            block.u[0, 0, 3] = 2.0
         with pytest.raises(AttributeError):
-            state.umax = 2.0
+            block.umax = 2.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_abort(self, bad):
-        grid = make_grid(0.0, 2.0, 0.25)
+        grid, params, config = make_setup(dx=0.25, span=2.0)
         vals = np.zeros(grid.num_cells)
         vals[5] = bad
-        with pytest.raises(SolverAbort, match="cell 5"):
-            SolverState(0.0, GridFunction.from_checked(grid, vals))
+        with pytest.raises(SolverAbort, match="cell 5 of case 0, state 0$"):
+            lone(GridFunction.from_checked(grid, vals), params, config)
 
     def test_run_and_march_leave_initial_writable(self):
         grid, params, config = make_setup()
@@ -123,14 +147,15 @@ class TestSolverState:
         u0 = GridFunction(grid, vals)
         run(u0, params, config, t_end=0.5)
         next(march([u0], params, config))
+        lone(u0, params, config)
         u0.values[0] = 1.0  # raises if u0 was made read-only
 
 
 class TestRhs:
     def test_zero_state(self):
         grid, params, config = make_setup()
-        state = SolverState(0.0, GridFunction(grid, np.zeros(grid.num_cells)))
-        assert np.all(rhs(state, params, config).values == 0.0)
+        block = lone(GridFunction(grid, np.zeros(grid.num_cells)), params, config)
+        assert np.all(rhs(block, params, config) == 0.0)
 
     @pytest.mark.parametrize("theta", [1.0, 0.7])
     def test_total_telescopes_to_zero(self, theta):
@@ -140,8 +165,8 @@ class TestRhs:
         grid, params, config = make_setup(theta=theta)
         rng = np.random.default_rng(3)
         margin = config.quadrature.n_terms + 2
-        state = interior_state(grid, rng, margin)
-        total = grid.dx * math.fsum(rhs(state, params, config).values.tolist())
+        u = interior_data(grid, rng, margin)
+        total = grid.dx * math.fsum(lone_rhs(u, params, config).tolist())
         assert abs(total) <= 1e-12
 
     @settings(max_examples=200, deadline=None)
@@ -260,7 +285,6 @@ class TestRhs:
         u = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
         u[:prefix] = 0.0
         u[prefix + width :] = 0.0
-        state = SolverState(0.0, GridFunction(grid, u))
 
         def at(j):
             return u[j] if 0 <= j < n else 0.0
@@ -287,7 +311,7 @@ class TestRhs:
                 + c / theta**2 * (conv - f0 * at(j))
                 + c / theta * f1 * (at(j + 1) - at(j)) / dx
             )
-        got = rhs(state, params, config, dt_ref=dt_ref).values
+        got = lone_rhs(GridFunction(grid, u), params, config, dt_ref)
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-14)
 
     @settings(max_examples=200, deadline=None)
@@ -315,8 +339,7 @@ class TestRhs:
         )
         u = np.random.default_rng(seed).uniform(0.1, 1.0, n)
         u[:prefix] = 0.0
-        state = SolverState(0.0, GridFunction(grid, u))
-        got = rhs(state, PhysicalParams(nu=nu, c=c), config, dt_ref=0.1).values
+        got = lone_rhs(GridFunction(grid, u), PhysicalParams(nu=nu, c=c), config, 0.1)
         assert np.all(got[: max(prefix - 1, 0)] == 0.0)
 
     @settings(max_examples=100, deadline=None)
@@ -341,7 +364,6 @@ class TestRhs:
         params = PhysicalParams(nu=nu, c=c)
         u = np.zeros(n)
         u[5:25] = np.random.default_rng(seed).uniform(-0.3, 1.0, 20)
-        state = SolverState(0.0, GridFunction(grid, u))
         upad = np.concatenate(([0.0], u, [0.0]))
         faces = dx * math.fsum(eo_flux(upad[:-1], upad[1:]).tolist())
         x = grid.cell_centers
@@ -351,7 +373,7 @@ class TestRhs:
                 flux=FluxKind.ENGQUIST_OSHER, quadrature=quad,
                 corrector_mode=mode, grid=grid,
             )
-            xr = x * rhs(state, params, config).values
+            xr = x * lone_rhs(GridFunction(grid, u), params, config)
             residual = dx * math.fsum(xr.tolist()) + faces
             rel[mode] = abs(residual) / (dx * math.fsum(np.abs(xr).tolist()))
         assert rel[CorrectorMode.CORRECTED] <= 1e-12
@@ -361,8 +383,7 @@ class TestRhs:
         # The operator keeps O(num_cells + B^2) memory: no N-long array
         # (N = 1.8e8 at theta = 1e6) and nothing (n/B) x (n/B).
         grid = make_grid(0.0, 1e5, 0.1)
-        u = np.random.default_rng(19).uniform(-1.0, 1.0, grid.num_cells)
-        state = SolverState(0.0, GridFunction(grid, u))
+        u = GridFunction(grid, np.random.default_rng(19).uniform(-1.0, 1.0, grid.num_cells))
         theta = 1e6
         tracemalloc.start()
         try:
@@ -371,7 +392,7 @@ class TestRhs:
                 quadrature=build(0.1, theta, choose_n(0.1, theta, 1e-8)),
                 corrector_mode=CorrectorMode.CORRECTED, grid=grid,
             )
-            rhs(state, PhysicalParams(nu=1e-2, c=2e-2), config)
+            lone_rhs(u, PhysicalParams(nu=1e-2, c=2e-2), config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -380,9 +401,9 @@ class TestRhs:
 
     def test_mlf_needs_reference_step(self):
         grid, params, config = make_setup(flux=FluxKind.MODIFIED_LAX_FRIEDRICHS)
-        state = SolverState(0.0, GridFunction(grid, np.zeros(grid.num_cells)))
+        block = lone(GridFunction(grid, np.zeros(grid.num_cells)), params, config)
         with pytest.raises(ValueError, match="dt_ref"):
-            rhs(state, params, config)
+            rhs(block, params, config)
 
 
 class TestStableDt:
@@ -399,8 +420,8 @@ class TestStableDt:
         )
         vals = np.zeros(grid.num_cells)
         vals[10] = 0.1
-        state = SolverState(0.0, GridFunction(grid, vals))
-        dt = stable_dt(state, params, config, safety=1.0, dt_max=10.0)
+        block = lone(GridFunction(grid, vals), params, config)
+        (dt,) = stable_dt(block, params, config, safety=1.0, dt_max=10.0)
         expected = 1.0 / (1.0 + 2.0 + 0.02 * quad.stability_sum)
         assert dt == pytest.approx(expected, rel=1e-14)
         assert dt == pytest.approx(0.31, abs=0.005)
@@ -409,39 +430,39 @@ class TestStableDt:
         grid, params, config = make_setup(nu=0.0, c=1e-300, dx=0.1, span=10.0)
         vals = np.zeros(grid.num_cells)
         vals[30] = 1.0
-        state = SolverState(0.0, GridFunction(grid, vals))
-        dt = stable_dt(state, params, config, safety=0.5, dt_max=10.0)
+        block = lone(GridFunction(grid, vals), params, config)
+        (dt,) = stable_dt(block, params, config, safety=0.5, dt_max=10.0)
         assert dt == pytest.approx(0.5 * 0.1, rel=1e-10)
 
     def test_linear_in_safety(self):
         grid, params, config = make_setup()
         rng = np.random.default_rng(1)
-        state = interior_state(grid, rng, 10)
-        full = stable_dt(state, params, config, safety=0.8, dt_max=100.0)
-        half = stable_dt(state, params, config, safety=0.4, dt_max=100.0)
+        block = lone(interior_data(grid, rng, 10), params, config)
+        (full,) = stable_dt(block, params, config, safety=0.8, dt_max=100.0)
+        (half,) = stable_dt(block, params, config, safety=0.4, dt_max=100.0)
         assert half == pytest.approx(full / 2.0, rel=1e-14)
 
     def test_dt_max_caps(self):
         grid, params, config = make_setup()
-        state = SolverState(0.0, GridFunction(grid, np.zeros(grid.num_cells)))
-        assert stable_dt(state, params, config, safety=1.0, dt_max=0.25) == 0.25
+        block = lone(GridFunction(grid, np.zeros(grid.num_cells)), params, config)
+        assert stable_dt(block, params, config, safety=1.0, dt_max=0.25) == [0.25]
 
 
 class TestStepEuler:
     def test_zero_state_unchanged(self):
         grid, params, config = make_setup()
-        state = SolverState(0.0, GridFunction(grid, np.zeros(grid.num_cells)))
-        new = step_euler(state, params, config, 0.1)
-        assert new.t == 0.1
-        assert np.all(new.u.values == 0.0)
+        block = lone(GridFunction(grid, np.zeros(grid.num_cells)), params, config)
+        new = step_euler(block, params, config, [0.1])
+        assert new.t == (0.1,)
+        assert np.all(new.flat == 0.0)
 
     def test_oversized_step_rejected(self):
         grid, params, config = make_setup()
         rng = np.random.default_rng(2)
-        state = interior_state(grid, rng, 10)
-        bound = stable_dt(state, params, config, safety=1.0, dt_max=1e9)
+        block = lone(interior_data(grid, rng, 10), params, config)
+        (bound,) = stable_dt(block, params, config, safety=1.0, dt_max=1e9)
         with pytest.raises(StabilityError):
-            step_euler(state, params, config, 10.0 * bound)
+            step_euler(block, params, config, [10.0 * bound])
 
     def test_hand_computed_bump_update(self):
         # Single unit cell, dx = 1, dt = 0.1, viscosity 1, no memory term:
@@ -455,12 +476,12 @@ class TestStepEuler:
             corrector_mode=CorrectorMode.CORRECTED,
             grid=grid,
         )
-        state = SolverState(0.0, GridFunction(grid, np.array([0.0, 0.0, 1.0, 0.0, 0.0])))
-        new = step_euler(state, params, config, 0.1)
+        block = lone(GridFunction(grid, np.array([0.0, 0.0, 1.0, 0.0, 0.0])), params, config)
+        (new,) = states_of(step_euler(block, params, config, [0.1]), grid)
         np.testing.assert_allclose(
-            new.u.values, [0.0, 0.15, 0.75, 0.1, 0.0], atol=1e-15
+            new.values, [0.0, 0.15, 0.75, 0.1, 0.0], atol=1e-15
         )
-        assert mass(new.u) == pytest.approx(1.0, abs=1e-15)
+        assert mass(new) == pytest.approx(1.0, abs=1e-15)
 
     def test_per_step_mass_conservation(self):
         # The memory term spreads support rightward by up to N cells per
@@ -468,12 +489,13 @@ class TestStepEuler:
         grid, params, config = make_setup(theta=1.3, tail_tol=1e-10, span=100.0)
         rng = np.random.default_rng(4)
         margin = config.quadrature.n_terms + 40
-        state = interior_state(grid, rng, margin)
-        m0 = mass(state.u)
+        u0 = interior_data(grid, rng, margin)
+        block, m0 = lone(u0, params, config), mass(u0)
         for _ in range(25):
-            dt = stable_dt(state, params, config, safety=0.9)
-            state = step_euler(state, params, config, dt)
-            assert abs(mass(state.u) - m0) <= 1e-13 * max(1.0, abs(m0))
+            dts = stable_dt(block, params, config, safety=0.9)
+            block = step_euler(block, params, config, dts)
+            (u,) = states_of(block, grid)
+            assert abs(mass(u) - m0) <= 1e-13 * max(1.0, abs(m0))
 
     def test_naive_correctors_leak_mass(self):
         # With unit factors the convolution block no longer telescopes: the
@@ -488,12 +510,12 @@ class TestStepEuler:
             margin = config.quadrature.n_terms + 40
             vals = np.zeros(grid.num_cells)
             vals[margin:-margin] = 0.3 * rng.random(grid.num_cells - 2 * margin)
-            state = SolverState(0.0, GridFunction(grid, vals))
-            m0 = mass(state.u)
+            u0 = GridFunction(grid, vals)
+            block = lone(u0, params, config)
             for _ in range(30):
-                dt = stable_dt(state, params, config, safety=0.9)
-                state = step_euler(state, params, config, dt)
-            drifts[mode] = abs(mass(state.u) - m0)
+                dts = stable_dt(block, params, config, safety=0.9)
+                block = step_euler(block, params, config, dts)
+            drifts[mode] = abs(mass(states_of(block, grid)[0]) - mass(u0))
         assert drifts[CorrectorMode.CORRECTED] <= 1e-8
         assert drifts[CorrectorMode.NAIVE] > 1e-6
         assert drifts[CorrectorMode.NAIVE] > 1e3 * drifts[CorrectorMode.CORRECTED]
@@ -509,8 +531,7 @@ def euler_jacobian(u, params, config, dt, h=1e-3):
     grid = config.grid
 
     def euler(v):
-        state = SolverState(0.0, GridFunction(grid, v))
-        return v + dt * rhs(state, params, config, dt_ref=dt).values
+        return v + dt * lone_rhs(GridFunction(grid, v), params, config, dt)
 
     jac = np.empty((u.size, u.size))
     for j in range(u.size):
@@ -534,8 +555,7 @@ class TestEulerMonotone:
         rng = np.random.default_rng(21)
         n = grid.num_cells
         u = rng.choice([-1.0, 1.0], n) * rng.uniform(0.05, 1.0, n)
-        state = SolverState(0.0, GridFunction(grid, u))
-        bound = stable_dt(state, params, config, safety=1.0, dt_max=1e9)
+        bound = lone_bound([GridFunction(grid, u)], params, config, 1.0, 1e9)
         return u, params, config, bound
 
     @pytest.mark.parametrize("corrector", list(CorrectorMode))
@@ -597,7 +617,7 @@ class TestStepReports:
         grid, params, config = make_setup(dx=dx, span=u.size * dx)
         # One step, of the stable size, lands on t_end: the log's one row
         # describes the final snapshot.
-        t_end = stable_dt(SolverState(0.0, GridFunction(grid, u)), params, config, 0.9)
+        t_end = lone_bound([GridFunction(grid, u)], params, config)
         record = run(GridFunction(grid, u), params, config, t_end=t_end)
         (row,) = record.step_reports
         t, dt, mass_r, l1, l2, linf = row
@@ -611,7 +631,7 @@ class TestStepReports:
 
     def test_stepped_reports_match_fsum_oracle(self):
         grid, params, config = make_setup(dx=0.1, span=20.0, tail_tol=1e-6)
-        u0 = interior_state(grid, np.random.default_rng(17), 5).u
+        u0 = interior_data(grid, np.random.default_rng(17), 5)
         record = run(u0, params, config, t_end=5.0, snapshot_times=[5.0])
         t_end, u_end = record.snapshots[-1]
         t, _, mass_r, l1, l2, linf = record.step_reports[-1]
@@ -627,7 +647,7 @@ class TestStepReports:
     @pytest.mark.parametrize("k", [2, 3, 7])
     def test_report_every_keeps_every_kth_report(self, k):
         grid, params, config = make_setup()
-        u0 = interior_state(grid, np.random.default_rng(16), 60).u
+        u0 = interior_data(grid, np.random.default_rng(16), 60)
         kwargs = dict(t_end=2.0, snapshot_times=[0.37, 1.0], dt_max=0.05)
         every = run(u0, params, config, **kwargs).step_reports
         kept = run(u0, params, config, report_every=k, **kwargs).step_reports
@@ -647,7 +667,7 @@ class TestRun:
     def test_snapshots_landed_exactly(self):
         grid, params, config = make_setup(dx=0.1, span=10.0)
         rng = np.random.default_rng(8)
-        u0 = interior_state(grid, rng, 20).u
+        u0 = interior_data(grid, rng, 20)
         times = [0.37, 1.0, 2.25]
         record = run(u0, params, config, t_end=2.25, snapshot_times=times)
         recorded = [t for t, _ in record.snapshots]
@@ -656,7 +676,7 @@ class TestRun:
     def test_l1_nonincreasing_per_step(self):
         grid, params, config = make_setup(dx=0.1, span=20.0, tail_tol=1e-6)
         rng = np.random.default_rng(9)
-        u0 = interior_state(grid, rng, 5).u
+        u0 = interior_data(grid, rng, 5)
         record = run(u0, params, config, t_end=5.0)
         l1 = record.step_reports[:, 3]
         assert np.diff(l1).max() <= 1e-12
@@ -681,7 +701,7 @@ class TestRun:
 
     def test_abort_mid_run_keeps_log_to_last_good_state(self, monkeypatch):
         grid, params, config = make_setup(dx=0.1, span=20.0, tail_tol=1e-6)
-        u0 = interior_state(grid, np.random.default_rng(9), 5).u
+        u0 = interior_data(grid, np.random.default_rng(9), 5)
         real = scheme.step_euler
         calls = []
 
@@ -703,18 +723,17 @@ class TestLockstep:
     def test_shared_dt_lands_on_targets(self):
         grid, params, config = make_setup(tail_tol=1e-6)
         rng = np.random.default_rng(11)
-        u0 = interior_state(grid, rng, 20).u
+        u0 = interior_data(grid, rng, 20)
         v0 = GridFunction(grid, 3.0 * u0.values)
         targets = [0.37, 1.0, 2.25]
-        prev = [SolverState(0.0, u0), SolverState(0.0, v0)]
+        prev = [u0, v0]
         times = []
         for (dt,), block in march([u0, v0], params, config, targets, dt_max=10.0):
-            states = states_of(block, grid)
-            bound = min(stable_dt(s, params, config, 0.9, 10.0) for s in prev)
-            assert dt == bound or (dt < bound and states[0].t in targets)
-            assert states[0].t == states[1].t
-            times.append(states[0].t)
-            prev = states
+            (t,) = block.t
+            bound = lone_bound(prev, params, config, 0.9, 10.0)
+            assert dt == bound or (dt < bound and t in targets)
+            times.append(t)
+            prev = states_of(block, grid)
         assert set(targets) <= set(times)
         assert times[-1] == targets[-1]
 
@@ -722,22 +741,20 @@ class TestLockstep:
         # Every dt is the smallest stable_dt of the states it steps from,
         # capped at the gap to the next target and landed on it exactly.
         grid, params, config = make_setup(tail_tol=1e-6)
-        u0 = interior_state(grid, np.random.default_rng(18), 20).u
+        u0 = interior_data(grid, np.random.default_rng(18), 20)
         v0 = GridFunction(grid, -2.5 * u0.values)
         targets = [0.37, 1.0, 2.25]
-        prev = [SolverState(0.0, u0), SolverState(0.0, v0)]
+        prev, t = [u0, v0], 0.0
         landings = []
         for (dt,), block in march([u0, v0], params, config, targets, dt_max=10.0):
-            states = states_of(block, grid)
-            t = prev[0].t
             gap = min(x for x in targets if x > t) - t
-            bound = min(stable_dt(s, params, config, 0.9, 10.0) for s in prev)
+            bound = lone_bound(prev, params, config, 0.9, 10.0)
             lands = min(bound, gap) >= gap * (1.0 - 1e-14)
             assert dt == (gap if lands else bound)
-            assert [s.t for s in states] == [t + dt] * 2 or lands
+            assert block.t == (t + dt,) or lands
             if lands:
-                landings.append(states[0].t)
-            prev = states
+                landings.append(block.t[0])
+            prev, (t,) = states_of(block, grid), block.t
         assert landings == targets
 
     def test_calls_stable_dt_and_step_euler_per_block_step(self, monkeypatch):
@@ -757,7 +774,7 @@ class TestLockstep:
         counted("stable_dt")
         counted("step_euler")
         grid, params, config = make_setup()
-        u0 = interior_state(grid, np.random.default_rng(10), 20).u
+        u0 = interior_data(grid, np.random.default_rng(10), 20)
         v0 = GridFunction(grid, 0.5 * u0.values)
         steps = list(itertools.islice(march([u0, v0], params, config, [2.0]), 6))
         assert counts == {"stable_dt": len(steps), "step_euler": len(steps)}
@@ -771,7 +788,7 @@ class TestLockstep:
         # A step that leaves a case's clock unchanged raises SolverAbort,
         # naming the case, where the march would otherwise loop for ever.
         grid, params, config = make_setup()
-        u0 = interior_state(grid, np.random.default_rng(15), 20).u
+        u0 = interior_data(grid, np.random.default_rng(15), 20)
         original = scheme.stable_dt
 
         def stalling(block, *args):
@@ -793,14 +810,13 @@ class TestLockstep:
 
     def test_open_ended_until_stopped(self):
         grid, params, config = make_setup()
-        u0 = interior_state(grid, np.random.default_rng(12), 20).u
-        state = SolverState(0.0, u0)
+        u0 = interior_data(grid, np.random.default_rng(12), 20)
+        prev = lone(u0, params, config)
         count = 0
         for (dt,), block in itertools.islice(march([u0], params, config), 7):
-            (new,) = states_of(block, grid)
-            assert dt == stable_dt(state, params, config, 0.9)
-            assert new.t == state.t + dt
-            state, count = new, count + 1
+            assert [dt] == stable_dt(prev, params, config, 0.9)
+            assert block.t == (prev.t[0] + dt,)
+            prev, count = block, count + 1
         assert count == 7
 
     @pytest.mark.parametrize("flux", list(FluxKind))
@@ -808,7 +824,7 @@ class TestLockstep:
         # The stencil reaches one cell to the left, so the zero cells left of
         # the data give way at most one cell per step and stay exactly 0.0.
         grid, params, config = make_setup(tail_tol=1e-6, flux=flux)
-        u0 = interior_state(grid, np.random.default_rng(14), 60).u
+        u0 = interior_data(grid, np.random.default_rng(14), 60)
 
         def leading_zeros(v):
             return int((v != 0.0).argmax()) if v.any() else v.size
@@ -823,7 +839,7 @@ class TestLockstep:
         grid, params, config = make_setup(tail_tol=1e-6)
         rng = np.random.default_rng(12)
         margin = config.quadrature.n_terms + 2
-        u0 = interior_state(grid, rng, margin).u
+        u0 = interior_data(grid, rng, margin)
         v0 = GridFunction(grid, 0.5 * u0.values)
         distances = [norm(GridFunction(grid, u0.values - v0.values), 1)]
         for _, block in march([u0, v0], params, config, [10.0]):
@@ -834,7 +850,7 @@ class TestLockstep:
         grid, params, config = make_setup(tail_tol=1e-6)
         rng = np.random.default_rng(13)
         margin = config.quadrature.n_terms + 2
-        u0 = interior_state(grid, rng, margin).u
+        u0 = interior_data(grid, rng, margin)
         bump = np.zeros_like(u0.values)
         bump[margin:-margin] = 0.05 * rng.random(len(bump) - 2 * margin)
         v0 = GridFunction(grid, u0.values + bump)
@@ -853,9 +869,12 @@ class TestBlock:
     # pair of states.  The 30-cell grid is less than one block of the memory
     # recurrence; the 20-cell grid is narrower than its N = 56 kernel terms,
     # so it has no truncation; the 90-cell case's data fill its grid, up to
-    # the last cell.  The last case is the widest, and its 287 cells are one
-    # short of whole blocks, so the block's last entry is a padding zero only
-    # if each row keeps one; its data reach its last cell.
+    # the last cell.  The 100-cell case's data start at cell 32, past
+    # 2N = 28, so each of its states alone steps a window of nonzero cells
+    # (lo > 0) with the q^N truncation inside it.  The last case is the
+    # widest, and its 287 cells are one short of whole blocks, so the
+    # block's last entry is a padding zero only if each row keeps one; its
+    # data reach its last cell.
     CASES = [
         (1e-2, 2e-2, 1.0, 0.25, 50.0, EO, CORRECTED, 30),
         (5e-3, 3e-2, 0.6, 0.25, 30.0, MLF, CORRECTED, 20),
@@ -864,6 +883,7 @@ class TestBlock:
         (3e-2, 0.0, 1.2, 0.5, 15.0, EO, CORRECTED, 5),
         (1e-2, 3e-2, 2.0, 0.5, 10.0, EO, CORRECTED, 3),
         (2e-2, 2e-2, 0.8, 0.25, 22.5, EO, CORRECTED, 0),
+        (2.5e-2, 1.5e-2, 0.5, 0.5, 50.0, EO, CORRECTED, 32),
         (1.5e-2, 2.5e-2, 1.3, 0.25, 71.75, EO, CORRECTED, 0),
     ]
 
@@ -876,7 +896,7 @@ class TestBlock:
                 nu=nu, c=c, theta=theta, dx=dx, span=span, tail_tol=1e-6,
                 flux=flux, corrector=corrector,
             )
-            u = interior_state(grid, rng, margin).u
+            u = interior_data(grid, rng, margin)
             v = GridFunction(grid, float(rng.uniform(-1.0, 1.0)) * u.values)
             out.append(([u, v], params, config))
         return out
@@ -891,6 +911,11 @@ class TestBlock:
         widths = [c.grid.num_cells for c in configs]
         assert widths[-1] == max(widths) and (widths[-1] + 1) % 32 == 0
         assert initials[-1][0].values[-1] != 0.0
+        assert any(
+            c.quadrature.n_terms < c.grid.num_cells
+            and states[0].values[: 2 * c.quadrature.n_terms + 1].max() == 0.0
+            for states, c in zip(initials, configs)
+        )
         steps = list(itertools.islice(march(initials, params, configs, dt_max=10.0), 25))
         width = max(c.grid.num_cells for c in configs)
         for i, (states, p, config) in enumerate(problems):
@@ -898,14 +923,14 @@ class TestBlock:
             dts = [dt[i] for dt, _ in steps]
             assert dts == pytest.approx([dt for (dt,), _ in alone], rel=1e-14, abs=0.0)
             # Each state also steps alone, a lone state with the block's dts.
-            lone = [SolverState(0.0, u) for u in states]
+            each = [lone(u, p, config) for u in states]
             n = config.grid.num_cells
             for (_, block), (_, own), dt in zip(steps, alone, dts):
-                lone = [step_euler(s, p, config, dt) for s in lone]
+                each = [step_euler(s, p, config, [dt]) for s in each]
                 scale = np.abs(own.u).max()
                 assert np.abs(block.u[i, :, :n] - own.u[0]).max() <= 1e-14 * scale
-                for j, s in enumerate(lone):
-                    assert np.abs(block.u[i, j, :n] - s.u.values).max() <= 1e-14 * scale
+                for j, s in enumerate(each):
+                    assert np.abs(block.u[i, j, :n] - s.u[0, 0]).max() <= 1e-14 * scale
                 assert np.all(block.u[i, :, n:] == 0.0)
             assert block.u.shape == (len(problems), 2, width)
         # The dt sequences are the cases' own: no two cases share one.
@@ -916,13 +941,14 @@ class TestBlock:
         # Each case's dt is the smaller of its two states' bounds.
         problems = self.problems()
         initials, params, configs = (list(x) for x in zip(*problems))
-        prev = [[SolverState(0.0, u) for u in states] for states in initials]
+        prev, times = initials, (0.0,) * len(problems)
         for dts, block in itertools.islice(march(initials, params, configs), 10):
             for i, (p, config) in enumerate(zip(params, configs)):
-                bound = min(stable_dt(s, p, config, 0.9) for s in prev[i])
+                bound = lone_bound(prev[i], p, config)
                 assert dts[i] == pytest.approx(bound, rel=1e-14, abs=0.0)
-                assert block.t[i] == prev[i][0].t + dts[i]
+                assert block.t[i] == times[i] + dts[i]
             prev = [states_of(block, c.grid, i) for i, c in enumerate(configs)]
+            times = block.t
 
     def test_several_cases_take_the_default_target_only(self):
         (states, params, config), other = self.problems()[:2]
@@ -932,7 +958,7 @@ class TestBlock:
     def test_block_steps_with_its_own_params_and_config(self):
         (states, params, config), other = self.problems()[:2]
         _, block = next(march(states, params, config))
-        with pytest.raises(ValueError, match="marched with"):
+        with pytest.raises(ValueError, match="built with"):
             stable_dt(block, other[1], config, 0.9)
 
 

@@ -1,8 +1,10 @@
 """Post-processing: profile-error rates, convergence studies and executable
 forms of the discrete functional inequalities.
 
-Everything here is a pure function of immutable run records and grid
-functions.
+Everything here is a pure function of run records, grid functions and
+arrays; nothing here sets up or steps a run.  The runs of a convergence
+study are made by the ``selfconv`` command of :mod:`augburgers.cli`, and
+the inequality checks take one entry per case and return arrays.
 """
 
 from __future__ import annotations
@@ -15,11 +17,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import scheme
-from .grid import Grid, GridFunction, make_grid, norm
-from .kernel import DEFAULT_TAIL_TOL, build, choose_n
+from .grid import Grid, GridFunction, norm
 from .profile import AsymptoticProfile, sample_on_grid
-from .scheme import CorrectorMode, FluxKind, PhysicalParams, RunRecord, SchemeConfig
+from .scheme import RunRecord
 
 __all__ = [
     "RateSeries",
@@ -127,52 +127,19 @@ def check_nested(dxs: Sequence[float]) -> None:
 
 
 def self_convergence(
-    params: PhysicalParams,
-    initial,
-    x_left: float,
-    x_right: float,
-    dx_list: Sequence[float],
-    t_check: float,
-    flux: FluxKind = FluxKind.ENGQUIST_OSHER,
-    corrector_mode: CorrectorMode = CorrectorMode.CORRECTED,
-    theta: float = 1.0,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    safety: float = 0.9,
-    dt_max: float = scheme.DEFAULT_DT_MAX,
+    finals: Sequence[GridFunction],
 ) -> list[tuple[tuple[float, float], float]]:
-    """Successive L1 differences between runs at nested resolutions.
+    """Successive L1 differences between final states at nested resolutions.
 
-    Runs the same initial datum (projected per grid) at each mesh size,
-    restricts every finer solution to the next coarser mesh by cell-pair
-    averaging and reports ``((dx_fine, dx_coarse), ||restrict(u_fine) -
-    u_coarse||_1)`` at ``t_check``.  Mesh sizes must be nested: each entry
-    equal to or half of the previous one.  Each mesh gets the kernel
-    quadrature of relaxation time ``theta`` truncated at ``tail_tol``.
+    ``finals`` holds one run's final state per mesh size, coarsest first,
+    on meshes that :func:`check_nested` accepts.  Every finer state is
+    restricted to the next coarser mesh by cell-pair averaging (a repeated
+    mesh size is compared as it is), giving ``((dx_fine, dx_coarse),
+    ||restrict(u_fine) - u_coarse||_1)`` per pair.
     """
-    from .grid import project_initial
-
-    dxs = [float(d) for d in dx_list]
-    check_nested(dxs)
-    finals: list[GridFunction] = []
-    for dx in dxs:
-        grid = make_grid(x_left, x_right, dx)
-        quad = build(dx, theta, choose_n(dx, theta, tail_tol))
-        config = SchemeConfig(
-            flux=flux, quadrature=quad, corrector_mode=corrector_mode, grid=grid
-        )
-        u0 = project_initial(initial, grid)
-        record = scheme.run(
-            u0,
-            params,
-            config,
-            t_end=t_check,
-            snapshot_times=[t_check],
-            safety=safety,
-            dt_max=dt_max,
-        )
-        finals.append(record.snapshots[-1][1])
     out = []
-    for coarse_u, fine_u, dxc, dxf in zip(finals, finals[1:], dxs, dxs[1:]):
+    for coarse_u, fine_u in zip(finals, finals[1:]):
+        dxc, dxf = coarse_u.grid.dx, fine_u.grid.dx
         if abs(dxc / dxf - 1.0) < 1e-9:
             restricted = fine_u
         else:
@@ -208,18 +175,14 @@ def n_wave_diagnostic(w: GridFunction) -> NWaveDiagnostic:
 
 @dataclass(frozen=True)
 class InequalityCheck:
-    """Both sides and the verdict: scalars for one case, else arrays."""
+    """Both sides and the verdict, one array entry per case."""
 
-    holds: bool | np.ndarray
-    lhs: float | np.ndarray
-    rhs: float | np.ndarray
-
-
-def _one_row(res: InequalityCheck) -> InequalityCheck:
-    return InequalityCheck(bool(res.holds[0]), float(res.lhs[0]), float(res.rhs[0]))
+    holds: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
 
 
-def gns_inequality_check(w, p) -> InequalityCheck:
+def gns_inequality_check(w: Sequence[GridFunction], p) -> InequalityCheck:
     """Discrete Gagliardo-Nirenberg inequality for piecewise-constant data.
 
     Verifies ``||w||_p^(p(p+1)/(p-1)) <= 4 ||w||_1^(2p/(p-1)) *
@@ -227,12 +190,12 @@ def gns_inequality_check(w, p) -> InequalityCheck:
     on the zero extension (one padding cell per side), so the boundary jumps
     of compactly supported data are counted.
 
-    ``w`` is a grid function and ``p`` a float, or sequences of them (or
-    one ``p`` for all), evaluated as one zero-padded array with a row per
-    function.  The norms are pairwise sums, within a few ulps of
-    :func:`augburgers.grid.norm`.
+    ``w`` is a sequence of grid functions and ``p`` one float for all of
+    them or a sequence with one per function.  They are evaluated as one
+    zero-padded array with a row per function.  The norms are pairwise
+    sums, within a few ulps of :func:`augburgers.grid.norm`.
     """
-    ws = [w] if isinstance(w, GridFunction) else list(w)
+    ws = list(w)
     p = np.broadcast_to(np.asarray(p, dtype=np.float64), (len(ws),))[:, None]
     if not np.all(p > 1.0):
         raise ValueError(f"p must exceed 1, got {p.ravel()}")
@@ -248,8 +211,7 @@ def gns_inequality_check(w, p) -> InequalityCheck:
     norm_p = (dx * (av**p).sum(axis=1, keepdims=True)) ** (1.0 / p)
     lhs = norm_p ** (p * (p + 1.0) / (p - 1.0))
     rhs = 4.0 * (dx * av.sum(axis=1, keepdims=True)) ** (2.0 * p / (p - 1.0)) * grad2
-    res = InequalityCheck(holds=(lhs <= rhs)[:, 0], lhs=lhs[:, 0], rhs=rhs[:, 0])
-    return _one_row(res) if isinstance(w, GridFunction) else res
+    return InequalityCheck(holds=(lhs <= rhs)[:, 0], lhs=lhs[:, 0], rhs=rhs[:, 0])
 
 
 def pde_residual(profile: AsymptoticProfile, t: float, x: float, h: float) -> float:
@@ -288,11 +250,10 @@ def series_lemma_check(a, phi, n) -> InequalityCheck:
         | sum_{k<=n} a^k (b^k - 1) + (sum_{k<=n} k a^k)(1/b - 1) |
             <= |b - 1|^2 * a / (1 - a)^3.
 
-    ``a``, ``phi`` and ``n`` are numbers, or sequences with one entry per
-    case.  The sums loop over k, so each case adds its terms in ascending k.
+    ``a``, ``phi`` and ``n`` are sequences with one entry per case.  The
+    sums loop over k, so each case adds its terms in ascending k.
     """
-    one = np.ndim(a) == 0
-    a, phi, n = (np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (a, phi, n))
+    a, phi, n = (np.asarray(v, dtype=np.float64) for v in (a, phi, n))
     if not (np.all(a > 0.0) and np.all(1.0 > a)):
         raise ValueError(f"a must lie in (0, 1), got {a}")
     if not np.all(n >= 1.0):
@@ -314,8 +275,7 @@ def series_lemma_check(a, phi, n) -> InequalityCheck:
     s2 *= 2.0 * sin
     lhs = np.hypot(re - s2 * sin, im - s2 * cos)
     rhs = 4.0 * sin**2 * a / (1.0 - a) ** 3
-    res = InequalityCheck(holds=lhs <= rhs, lhs=lhs, rhs=rhs)
-    return _one_row(res) if one else res
+    return InequalityCheck(holds=lhs <= rhs, lhs=lhs, rhs=rhs)
 
 
 # Rule of profile_integral.  The two caps bound the work on a function the

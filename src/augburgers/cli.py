@@ -504,8 +504,7 @@ def cmd_nwave(config: ExperimentConfig) -> int:
 
 
 def cmd_selfconv(config: ExperimentConfig, dx_list: str, t_check: str) -> int:
-    _, init = _parse_initial(config.initial_data)
-    if isinstance(init, str):
+    if isinstance(_parse_initial(config.initial_data)[1], str):
         raise ConfigError(
             "selfconv needs a functional initial_data (file: data is bound to "
             "one grid)"
@@ -520,21 +519,20 @@ def cmd_selfconv(config: ExperimentConfig, dx_list: str, t_check: str) -> int:
     for dx in dxs:
         _check_divides(config, "dx_list entry", dx)
     t_check = _number(lo=0.0, lo_open=True)("t_check", t_check)
-    params = PhysicalParams(nu=config.nu, c=config.c)
-    results = analysis.self_convergence(
-        params,
-        init,
-        config.x_left,
-        config.x_right,
-        dxs,
-        t_check,
-        flux=FluxKind(config.flux),
-        corrector_mode=CorrectorMode(config.corrector_mode),
-        theta=config.theta,
-        tail_tol=config.tail_tol,
-        safety=config.safety,
-        dt_max=config.dt_max,
-    )
+    finals = []
+    for dx in dxs:
+        mesh = replace(config, dx=dx)
+        grid, _, params, scheme_config = _build_setup(mesh)
+        record = scheme.run(
+            _build_initial(mesh, grid),
+            params,
+            scheme_config,
+            t_end=t_check,
+            safety=config.safety,
+            dt_max=config.dt_max,
+        )
+        finals.append(record.snapshots[-1][1])
+    results = analysis.self_convergence(finals)
     os.makedirs(config.output_dir, exist_ok=True)
     rows = []
     prev = None

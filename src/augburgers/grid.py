@@ -148,15 +148,6 @@ class PiecewiseInitial:
             if not a < b:
                 raise ValueError(f"piece interval [{a}, {b}] is empty")
 
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = np.zeros_like(x)
-        for a, b, f in self.pieces:
-            sel = (x >= a) & (x <= b)
-            if np.any(sel):
-                out[sel] = f(x[sel])
-        return out
-
 
 def _simpson_weights(n_sub: int) -> np.ndarray:
     w = np.ones(n_sub + 1)
@@ -181,22 +172,14 @@ def _segment_integral(f, lo: float, hi: float, cell: int) -> float:
     return h * float(_W_SIMPSON @ fx)
 
 
-def _call_on_array(f, xs: np.ndarray) -> np.ndarray:
-    try:
-        fx = np.asarray(f(xs), dtype=np.float64)
-        if fx.shape == xs.shape:
-            return fx
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([float(f(x)) for x in xs], dtype=np.float64)
-
-
 def project_initial(f, grid: Grid) -> GridFunction:
     """Cell-average projection ``u_j = (1/dx) * integral of f over cell j``.
 
     Each cell integral uses composite Simpson with 16 subintervals.  For a
     :class:`PiecewiseInitial` the rule is applied per smooth piece within the
-    cell, which keeps the projection accurate across jumps.
+    cell, which keeps the projection accurate across jumps.  Any other ``f``
+    is called once, on the array of every cell's nodes, and must return an
+    array of that shape.
     """
     n = grid.num_cells
     if isinstance(f, PiecewiseInitial):
@@ -214,7 +197,7 @@ def project_initial(f, grid: Grid) -> GridFunction:
 
     n_sub = _SIMPSON_SUBINTERVALS
     xs = np.linspace(grid.x_left, grid.x_right, n * n_sub + 1)
-    fx = _call_on_array(f, xs)
+    fx = np.asarray(f(xs), dtype=np.float64)
     if not np.isfinite(fx).all():
         bad = int(np.flatnonzero(~np.isfinite(fx))[0])
         cell = min(bad // n_sub, n - 1)

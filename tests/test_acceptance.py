@@ -4,15 +4,19 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  The long-time runs are
 shared module-scoped fixtures; the full suite is a few minutes of desk time.
 """
 
+import csv
 import math
 import os
 import time
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from augburgers import analysis, profile, scheme
+from augburgers.cli import main
 from augburgers.grid import GridFunction, make_grid, mass, norm, project_initial
 from augburgers.initial import sine_bumps
 from augburgers.kernel import build, choose_n
@@ -77,15 +81,19 @@ def long_run(name, initial):
     """Run one of :data:`LONG_RUNS` from ``initial`` to ``T_END``."""
     flux, corrector, times, report_every = LONG_RUNS[name]
     _, _, params, config = reference_setup(flux=flux, corrector=corrector)
-    return scheme.run(
-        initial,
-        params,
-        config,
-        t_end=T_END,
-        snapshot_times=snapshot_grid() if times is None else times,
-        safety=SAFETY,
-        report_every=report_every,
-    )
+    with warnings.catch_warnings():
+        # By t = 1e4 mlf_run and naive_run reach the domain's edge; the
+        # committed reference snapshots pin their states there.
+        warnings.filterwarnings("ignore", "solution reached the domain boundary")
+        return scheme.run(
+            initial,
+            params,
+            config,
+            t_end=T_END,
+            snapshot_times=snapshot_grid() if times is None else times,
+            safety=SAFETY,
+            report_every=report_every,
+        )
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +142,9 @@ def diffusive_wave(initial_datum):
 
 
 def scaled_errors(record, wave, p):
-    series = analysis.scaled_profile_error(record, wave, p)
+    # The wave is singular at t = 0, so only later snapshots are compared.
+    later = replace(record, snapshots=[s for s in record.snapshots if s[0] > 0.0])
+    series = analysis.scaled_profile_error(later, wave, p)
     return {round(t): v for t, v in zip(series.times, series.values)}
 
 
@@ -401,24 +411,24 @@ def test_criterion_07_profile_correctness(diffusive_wave):
 
 def test_criterion_08_functional_inequalities():
     rng = np.random.default_rng(2024)
-    gns_failures = 0
+    functions = []
     for _ in range(1000):
         n = int(rng.integers(3, 201))
         dx = float(rng.uniform(0.01, 1.0))
         vals = 2.0 * rng.random(n) - 1.0
         if not np.any(vals):
             vals[0] = 1.0
-        w = GridFunction(make_grid(0.0, n * dx, dx), vals)
-        for p in (2.0, 3.0, 4.0):
-            if not analysis.gns_inequality_check(w, p).holds:
-                gns_failures += 1
-    series_failures = 0
-    for _ in range(1000):
-        a = float(rng.uniform(0.01, 0.99))
-        phi = float(rng.uniform(-math.pi, math.pi))
-        n = int(rng.integers(1, 101))
-        if not analysis.series_lemma_check(a, phi, n).holds:
-            series_failures += 1
+        functions.append(GridFunction(make_grid(0.0, n * dx, dx), vals))
+    gns_failures = sum(
+        int((~analysis.gns_inequality_check(functions, p).holds).sum())
+        for p in (2.0, 3.0, 4.0)
+    )
+    series = [
+        (float(rng.uniform(0.01, 0.99)), float(rng.uniform(-math.pi, math.pi)),
+         int(rng.integers(1, 101)))
+        for _ in range(1000)
+    ]
+    series_failures = int((~analysis.series_lemma_check(*zip(*series)).holds).sum())
     ok = gns_failures == 0 and series_failures == 0
     report(
         8,
@@ -428,23 +438,19 @@ def test_criterion_08_functional_inequalities():
     )
 
 
-def test_criterion_09_self_convergence():
-    params = PhysicalParams(nu=NU, c=C)
-    results = analysis.self_convergence(
-        params,
-        sine_bumps(),
-        -40.0,
-        40.0,
-        [0.2, 0.1, 0.05],
-        t_check=1.0,
-        theta=THETA,
-        tail_tol=TAIL_TOL,
-        safety=SAFETY,
-    )
-    diffs = [d for _, d in results]
+def test_criterion_09_self_convergence(tmp_path):
+    rc = main([
+        "selfconv", "--x-left", "-40", "--x-right", "40",
+        "--dx-list", "0.2,0.1,0.05", "--t-check", "1",
+        "--nu", repr(NU), "--c", repr(C), "--theta", repr(THETA),
+        "--tail-tol", repr(TAIL_TOL), "--safety", repr(SAFETY),
+        "--initial-data", "sines", "--out", str(tmp_path),
+    ])
+    with open(tmp_path / "selfconv.csv", encoding="utf-8") as fh:
+        diffs = [float(row["l1_diff"]) for row in csv.DictReader(fh)]
     decreasing = all(b < a for a, b in zip(diffs, diffs[1:]))
     ratio = diffs[1] / diffs[0]
-    ok = decreasing and ratio <= 0.8
+    ok = rc == 0 and decreasing and ratio <= 0.8
     report(
         9,
         "nested-mesh L1 differences decrease with ratio <= 0.8",

@@ -1,4 +1,5 @@
 import cmath
+import csv
 import math
 
 import mpmath
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from augburgers.analysis import (
+    check_nested,
     gns_inequality_check,
     n_wave_diagnostic,
     restrict_pairwise,
@@ -15,10 +17,11 @@ from augburgers.analysis import (
     self_convergence,
     series_lemma_check,
 )
+from augburgers.cli import main
 from augburgers.grid import GridFunction, make_grid, mass, norm, project_initial
 from augburgers.initial import sine_bumps
 from augburgers.profile import AsymptoticProfile, sample_on_grid
-from augburgers.scheme import PhysicalParams, RunRecord
+from augburgers.scheme import RunRecord
 
 
 def record_from_snapshots(snaps):
@@ -81,6 +84,7 @@ class TestScaledProfileError:
 
 
 class TestMonitors:
+    @pytest.mark.filterwarnings("ignore:solution reached the domain boundary")
     def test_l1_monitor_matches_step_reports_at_snapshots(self):
         # Snapshot states are the stepped states, so the step log's L1
         # column agrees with grid.norm at the snapshot times.  The log holds
@@ -88,7 +92,8 @@ class TestMonitors:
         # they agree to roundoff rather than bit for bit.
         from augburgers import scheme
         from augburgers.kernel import build, choose_n
-        from augburgers.scheme import CorrectorMode, FluxKind, SchemeConfig
+        from augburgers.scheme import (
+            CorrectorMode, FluxKind, PhysicalParams, SchemeConfig)
 
         g = make_grid(-20.0, 20.0, 0.25)
         quad = build(0.25, 1.0, choose_n(0.25, 1.0, 1e-6))
@@ -130,33 +135,33 @@ class TestRestriction:
 
 
 class TestSelfConvergence:
-    PARAMS = PhysicalParams(nu=1e-2, c=2e-2)
+    """The study's mesh rule (check_nested), its differences of final states,
+    and the selfconv command that runs it."""
 
     def test_identical_resolutions_give_zero(self):
-        out = self_convergence(
-            self.PARAMS, sine_bumps(), -20.0, 20.0, [0.2, 0.2], t_check=0.5
-        )
-        assert out[0][1] == 0.0
+        u = project_initial(sine_bumps(), make_grid(-20.0, 20.0, 0.2))
+        assert self_convergence([u, u.copy()]) == [((0.2, 0.2), 0.0)]
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
     def test_rejects_nonpositive_mesh_size(self, bad):
         # Rejected before any ratio between mesh sizes is taken.
         with pytest.raises(ValueError, match="positive and finite"):
-            self_convergence(
-                self.PARAMS, sine_bumps(), -20.0, 20.0, [0.2, bad], t_check=0.5
-            )
+            check_nested([0.2, bad])
 
     def test_rejects_non_halving(self):
         with pytest.raises(ValueError, match="halve"):
-            self_convergence(
-                self.PARAMS, sine_bumps(), -20.0, 20.0, [0.3, 0.2], t_check=0.5
-            )
+            check_nested([0.3, 0.2])
 
-    def test_differences_shrink_with_refinement(self):
-        out = self_convergence(
-            self.PARAMS, sine_bumps(), -40.0, 40.0, [0.2, 0.1, 0.05], t_check=1.0
-        )
-        diffs = [d for _, d in out]
+    def test_differences_shrink_with_refinement(self, tmp_path):
+        rc = main([
+            "selfconv", "--x-left", "-40", "--x-right", "40",
+            "--dx-list", "0.2,0.1,0.05", "--t-check", "1",
+            "--nu", "1e-2", "--c", "2e-2", "--initial-data", "sines",
+            "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        with open(tmp_path / "selfconv.csv", encoding="utf-8") as fh:
+            diffs = [float(row["l1_diff"]) for row in csv.DictReader(fh)]
         assert diffs[1] < diffs[0]
         assert diffs[1] / diffs[0] <= 0.8
 
@@ -258,10 +263,10 @@ class TestInequalityOracles:
         for i in (0, 11, 29):
             # One function is one row; a row padded to the widest function
             # sums its terms in other blocks, so the last bits may differ.
-            one = gns_inequality_check(functions[i], ps[i])
-            assert type(one.holds) is bool and one.holds == res.holds[i]
-            assert one.lhs == pytest.approx(res.lhs[i], rel=1e-14, abs=0.0)
-            assert one.rhs == pytest.approx(res.rhs[i], rel=1e-14, abs=0.0)
+            one = gns_inequality_check([functions[i]], [ps[i]])
+            assert one.holds.shape == (1,) and one.holds[0] == res.holds[i]
+            assert one.lhs[0] == pytest.approx(res.lhs[i], rel=1e-14, abs=0.0)
+            assert one.rhs[0] == pytest.approx(res.rhs[i], rel=1e-14, abs=0.0)
 
     def test_series_rows_match_oracle(self):
         _, series = criterion_08_corpora()
@@ -272,8 +277,10 @@ class TestInequalityOracles:
             assert res.lhs[i] == pytest.approx(lhs, rel=1e-13, abs=0.0)
             assert res.rhs[i] == pytest.approx(rhs, rel=1e-13, abs=0.0)
             assert res.holds[i] == (lhs <= rhs)
-        one = series_lemma_check(*series[7])
-        assert (one.holds, one.lhs, one.rhs) == (res.holds[7], res.lhs[7], res.rhs[7])
+        one = series_lemma_check(*([v] for v in series[7]))
+        assert one.holds.shape == (1,)
+        assert (one.holds[0], one.lhs[0], one.rhs[0]) == (
+            res.holds[7], res.lhs[7], res.rhs[7])
 
 
 class TestGnsInequality:
@@ -283,75 +290,78 @@ class TestGnsInequality:
         dx, v = 0.3, 1.7
         g = make_grid(0.0, 2 * dx, dx)
         w = GridFunction(g, np.array([v, 0.0]))
-        res = gns_inequality_check(w, 2.0)
-        assert res.lhs == pytest.approx((dx * v * v) ** 3, rel=1e-12)
-        assert res.rhs == pytest.approx(8.0 * dx**3 * v**6, rel=1e-12)
-        assert res.holds
+        res = gns_inequality_check([w], 2.0)
+        assert res.lhs[0] == pytest.approx((dx * v * v) ** 3, rel=1e-12)
+        assert res.rhs[0] == pytest.approx(8.0 * dx**3 * v**6, rel=1e-12)
+        assert res.holds[0]
 
     def test_verdict_invariant_under_scaling(self):
         rng = np.random.default_rng(6)
         g = make_grid(0.0, 10.0, 0.5)
         w = GridFunction(g, rng.uniform(-1.0, 1.0, g.num_cells))
-        for p in (2.0, 3.0):
-            base = gns_inequality_check(w, p)
-            scaled = gns_inequality_check(GridFunction(g, 37.5 * w.values), p)
-            expo = p * (p + 1.0) / (p - 1.0)
-            assert scaled.holds == base.holds
-            assert scaled.lhs / base.lhs == pytest.approx(37.5**expo, rel=1e-9)
-            assert scaled.rhs / base.rhs == pytest.approx(37.5**expo, rel=1e-9)
+        scaled_w = GridFunction(g, 37.5 * w.values)
+        p = np.array([2.0, 3.0])
+        base = gns_inequality_check([w, w], p)
+        scaled = gns_inequality_check([scaled_w, scaled_w], p)
+        expo = p * (p + 1.0) / (p - 1.0)
+        assert np.array_equal(scaled.holds, base.holds)
+        assert scaled.lhs / base.lhs == pytest.approx(37.5**expo, rel=1e-9)
+        assert scaled.rhs / base.rhs == pytest.approx(37.5**expo, rel=1e-9)
 
     def test_randomized_corpus_all_hold(self):
         rng = np.random.default_rng(7)
+        functions = []
         for _ in range(200):
             n = int(rng.integers(3, 201))
             dx = float(rng.uniform(0.01, 1.0))
             vals = 2.0 * rng.random(n) - 1.0
             if not np.any(vals):
                 vals[0] = 1.0
-            w = GridFunction(make_grid(0.0, n * dx, dx), vals)
-            for p in (2.0, 3.0, 4.0):
-                assert gns_inequality_check(w, p).holds
+            functions.append(GridFunction(make_grid(0.0, n * dx, dx), vals))
+        for p in (2.0, 3.0, 4.0):
+            assert gns_inequality_check(functions, p).holds.all()
 
     def test_rejects_zero_function(self):
         g = make_grid(0.0, 1.0, 0.5)
         with pytest.raises(ValueError):
-            gns_inequality_check(GridFunction(g, np.zeros(2)), 2.0)
+            gns_inequality_check([GridFunction(g, np.zeros(2))], 2.0)
 
 
 class TestSeriesBound:
     def test_unit_b_degenerates_to_equality(self):
-        res = series_lemma_check(0.5, 0.0, 10)
-        assert res.lhs == 0.0
-        assert res.holds
+        res = series_lemma_check([0.5], [0.0], [10])
+        assert res.lhs[0] == 0.0
+        assert res.holds[0]
 
     def test_hand_case(self):
-        res = series_lemma_check(0.5, math.pi, 10)
-        assert res.holds
-        assert res.rhs == pytest.approx(4.0 * 0.5 / 0.125, rel=1e-13)
+        res = series_lemma_check([0.5], [math.pi], [10])
+        assert res.holds[0]
+        assert res.rhs[0] == pytest.approx(4.0 * 0.5 / 0.125, rel=1e-13)
 
     def test_tiny_angle_does_not_cancel(self):
         # Drawn by `augburgers check --seed 59`.  At 50 digits the lhs is
         # 5.7194984894e-11, just below the rhs 5.7194985032e-11; forming
         # b^k - 1 by subtraction lost the digits that decide it.
         a, phi, n = 0.5712925694825125, -2.808608488003017e-06, 45
-        res = series_lemma_check(a, phi, n)
+        res = series_lemma_check([a], [phi], [n])
         with mpmath.workdps(50):
             b = mpmath.expj(phi)
             s1 = mpmath.fsum(mpmath.mpf(a) ** k * (b**k - 1) for k in range(1, n + 1))
             s2 = mpmath.fsum(k * mpmath.mpf(a) ** k for k in range(1, n + 1))
             lhs = abs(s1 + s2 * (1 / b - 1))
             rhs = abs(b - 1) ** 2 * a / (1 - mpmath.mpf(a)) ** 3
-        assert res.lhs == pytest.approx(float(lhs), rel=1e-12, abs=0)
-        assert res.rhs == pytest.approx(float(rhs), rel=1e-12, abs=0)
-        assert res.holds
+        assert res.lhs[0] == pytest.approx(float(lhs), rel=1e-12, abs=0)
+        assert res.rhs[0] == pytest.approx(float(rhs), rel=1e-12, abs=0)
+        assert res.holds[0]
 
     def test_randomized_corpus_all_hold(self):
         rng = np.random.default_rng(8)
-        for _ in range(200):
-            a = float(rng.uniform(0.01, 0.99))
-            phi = float(rng.uniform(-math.pi, math.pi))
-            n = int(rng.integers(1, 101))
-            assert series_lemma_check(a, phi, n).holds
+        cases = [
+            (float(rng.uniform(0.01, 0.99)), float(rng.uniform(-math.pi, math.pi)),
+             int(rng.integers(1, 101)))
+            for _ in range(200)
+        ]
+        assert series_lemma_check(*zip(*cases)).holds.all()
 
 
 class TestGaussLegendreRule:

@@ -120,6 +120,7 @@ class TestRunCommand:
         assert rc == 0
         return out
 
+    @pytest.mark.filterwarnings("ignore:solution reached the domain boundary")
     def test_outputs_exist_with_headers(self, tmp_path):
         out = self.run_small(tmp_path, "a")
         header, rows = read_rows(out / "snapshots.csv")
@@ -130,12 +131,14 @@ class TestRunCommand:
         assert header == ["t", "l1", "l2", "linf", "mass"]
         assert len(rows) > 3
 
+    @pytest.mark.filterwarnings("ignore:solution reached the domain boundary")
     def test_mass_column_constant(self, tmp_path):
         out = self.run_small(tmp_path, "a")
         _, rows = read_rows(out / "norms.csv")
         masses = [float(r[4]) for r in rows]
         assert max(abs(m - 0.15) for m in masses) <= 1e-8
 
+    @pytest.mark.filterwarnings("ignore:solution reached the domain boundary")
     def test_rerun_byte_identical(self, tmp_path):
         out1 = self.run_small(tmp_path, "a")
         out2 = self.run_small(tmp_path, "b")
@@ -147,6 +150,7 @@ class TestRunCommand:
         _, rows = read_rows(out / "snapshots.csv")
         assert all(float(r[2]) == 0.0 for r in rows)
 
+    @pytest.mark.filterwarnings("ignore:solution reached the domain boundary")
     def test_manifest_fields(self, tmp_path):
         out = self.run_small(tmp_path, "a")
         manifest = read(out / "manifest.txt")
@@ -202,6 +206,7 @@ class TestRunCommand:
         _, rows = read_rows(out / "snapshots.csv")
         assert [float(r[2]) for r in rows] == values.tolist()
 
+    @pytest.mark.filterwarnings("ignore:solution reached the domain boundary")
     def test_small_theta_runs(self, tmp_path):
         # dx/theta = 1000 used to overflow while building the kernel weights.
         rc = main(
@@ -314,6 +319,7 @@ class TestRunCommand:
 
 
 class TestRatesCommand:
+    @pytest.mark.filterwarnings("ignore:solution reached the domain boundary")
     def test_structure_and_determinism(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(SMALL + "t_end = 10\nsnapshot_times =\n")
@@ -368,6 +374,7 @@ class TestRatesCommand:
         for name in ("rates.csv", "manifest.txt"):
             assert read(out1 / name) == read(out2 / name)
 
+    @pytest.mark.filterwarnings("ignore:solution reached the domain boundary")
     def test_samples_the_wave_once_per_time(self, tmp_path, monkeypatch):
         from augburgers import analysis, profile
 
@@ -390,6 +397,7 @@ class TestRatesCommand:
 
 
 class TestNwaveCommand:
+    @pytest.mark.filterwarnings("ignore:solution reached the domain boundary")
     def test_wave_shape_comparison(self, tmp_path):
         out = tmp_path / "n"
         rc = main(
@@ -421,6 +429,7 @@ class TestNwaveCommand:
 
 
 class TestSelfconvCommand:
+    @pytest.mark.filterwarnings("ignore:solution reached the domain boundary")
     def test_differences_decrease(self, tmp_path):
         out = tmp_path / "s"
         rc = main(
@@ -468,7 +477,7 @@ class TestSelfconvCommand:
     )
     def test_bad_mesh_size_or_check_time_is_config_error(self, tmp_path, capsys, argv, key):
         # Both flags go through config parse rules, and the mesh sizes also
-        # through the nesting rule of self_convergence and the grid's span
+        # through the nesting rule of check_nested and the grid's span
         # rule, so a bad value fails before any run, with exit 2 and no
         # output directory.
         rc = main(["selfconv", *argv, "--out", str(tmp_path / "s")])

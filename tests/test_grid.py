@@ -111,11 +111,6 @@ class TestProjection:
         u = project_initial(sine_bumps(), g)
         assert abs(mass(u) - 0.15) <= 1e-10
 
-    def test_scalar_only_callable(self):
-        g = make_grid(0.0, 1.0, 0.5)
-        u = project_initial(lambda x: float(x) + 1.0, g)
-        np.testing.assert_allclose(u.values, [1.25, 1.75], atol=1e-14)
-
     def test_nonfinite_sample_names_cell(self):
         g = make_grid(0.0, 1.0, 0.25)
 

@@ -1,5 +1,6 @@
 """tools/same_results.py on seed 0: a copy of this tree reads identical, a
-copy with one right-hand-side term moved by one ulp reads different."""
+copy with one right-hand-side term moved by one ulp reads different on every
+command that steps."""
 
 import importlib.util
 import os
@@ -27,7 +28,9 @@ def copy_tree(dest):
 def test_copy_is_identical(tmp_path):
     copy = copy_tree(tmp_path / "copy")
     verdicts = dict(same_results.same_results(copy, run_seeds=[0], check_seeds=[0]))
-    assert verdicts == dict.fromkeys(["run seed 0", "rates seed 0", "check seed 0"], "identical")
+    labels = ["run seed 0", "rates seed 0", "check seed 0"]
+    labels += [label for label, _ in same_results.FIXED]
+    assert verdicts == dict.fromkeys(labels, "identical")
 
 
 def test_one_ulp_in_rhs_is_different(tmp_path):
@@ -39,7 +42,10 @@ def test_one_ulp_in_rhs_is_different(tmp_path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text.replace(TERM, NUDGED))
     verdicts = dict(same_results.same_results(nudged, run_seeds=[0], check_seeds=[]))
-    for label in ("run seed 0", "rates seed 0"):
-        assert verdicts[label].startswith("different (")
-        assert "largest absolute difference" in verdicts[label]
-        assert verdicts[label].endswith("exit codes 0 and 0)")
+    # profile samples the wave and steps nothing; every other command steps.
+    assert verdicts.pop("profile") == "identical"
+    assert len(verdicts) == 2 + len(same_results.FIXED) - 1
+    for label, verdict in verdicts.items():
+        assert verdict.startswith("different ("), label
+        assert "largest absolute difference" in verdict
+        assert verdict.endswith("exit codes 0 and 0)")

@@ -629,6 +629,7 @@ class TestStepReports:
         assert l2 == pytest.approx(l2_x, rel=1e-14, abs=0.0)
         assert linf == linf_x
 
+    @pytest.mark.filterwarnings("ignore:solution reached the domain boundary")
     def test_stepped_reports_match_fsum_oracle(self):
         grid, params, config = make_setup(dx=0.1, span=20.0, tail_tol=1e-6)
         u0 = interior_data(grid, np.random.default_rng(17), 5)
@@ -664,6 +665,7 @@ class TestRun:
         assert record.snapshots[0][0] == 0.0
         assert record.step_reports.shape == (0, 6)
 
+    @pytest.mark.filterwarnings("ignore:solution reached the domain boundary")
     def test_snapshots_landed_exactly(self):
         grid, params, config = make_setup(dx=0.1, span=10.0)
         rng = np.random.default_rng(8)
@@ -673,6 +675,7 @@ class TestRun:
         recorded = [t for t, _ in record.snapshots]
         assert recorded == [0.0] + times
 
+    @pytest.mark.filterwarnings("ignore:solution reached the domain boundary")
     def test_l1_nonincreasing_per_step(self):
         grid, params, config = make_setup(dx=0.1, span=20.0, tail_tol=1e-6)
         rng = np.random.default_rng(9)

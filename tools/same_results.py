@@ -12,7 +12,9 @@ from that tree's ``src/``, on one BLAS/OpenMP thread:
 - ``run`` and ``rates`` with the argument lists of the benchmark workloads
   ``run-ref`` and ``rates-ref`` (read from ``perfbench/workloads.py``) for
   seeds 0-4;
-- ``check --seed S`` for S = 0-59.
+- ``check --seed S`` for S = 0-59;
+- ``selfconv``, ``nwave`` and ``profile``, once each in the small cases of
+  :data:`FIXED`.
 
 For each command it prints one line: ``identical`` when the exit codes,
 stdout and every output file agree byte for byte, else ``different`` with
@@ -35,6 +37,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_SEEDS = range(5)
 CHECK_SEEDS = range(60)
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# (label, argv without --out) of the commands run once each.
+FIXED = (
+    ("selfconv", ["selfconv", "--t-check", "1"]),
+    ("selfconv repeated dx", ["selfconv", "--dx-list", "0.2,0.2,0.1",
+                              "--x-left", "-20", "--x-right", "20"]),
+    ("selfconv gaussian mlf naive", ["selfconv", "--initial-data", "gaussian:0.5,1",
+                                     "--flux", "mlf", "--corrector-mode", "naive",
+                                     "--theta", "0.5"]),
+    ("nwave", ["nwave"]),
+    ("profile", ["profile", "--t-end", "1", "--snapshot-times", "1"]),
+)
 
 
 def _workloads():
@@ -57,6 +70,8 @@ def commands(run_seeds=RUN_SEEDS, check_seeds=CHECK_SEEDS):
     for seed in check_seeds:
         out.append((f"check seed {seed}",
                     lambda d, s=seed: ["check", "--out", d, "--seed", str(s)]))
+    for label, argv in FIXED:
+        out.append((label, lambda d, a=argv: [*a, "--out", d]))
     return out
 
 

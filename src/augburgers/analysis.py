@@ -226,18 +226,10 @@ def pde_residual(profile: AsymptoticProfile, t: float, x: float, h: float) -> fl
 
     if not h > 0.0 or not t - h > 0.0:
         raise ValueError("need 0 < h < t for the centered time difference")
-    w = profile_eval(profile, t, x)
-    w_t = (profile_eval(profile, t + h, x) - profile_eval(profile, t - h, x)) / (
-        2.0 * h
-    )
-    w_x = (profile_eval(profile, t, x + h) - profile_eval(profile, t, x - h)) / (
-        2.0 * h
-    )
-    w_xx = (
-        profile_eval(profile, t, x + h)
-        - 2.0 * w
-        + profile_eval(profile, t, x - h)
-    ) / (h * h)
+    w_left, w, w_right = profile_eval(profile, t, np.array([x - h, x, x + h])).tolist()
+    w_t = (profile_eval(profile, t + h, x) - profile_eval(profile, t - h, x)) / (2.0 * h)
+    w_x = (w_right - w_left) / (2.0 * h)
+    w_xx = (w_right - 2.0 * w + w_left) / (h * h)
     return w_t - w * w_x - profile.viscosity * w_xx
 
 

@@ -100,16 +100,15 @@ def _check_kernel_closed_forms(case) -> tuple[bool, str]:
 
 # Cells (cases x rows x widest row) of one block of cases checked as arrays:
 # the stepped suites' blocks, whose rows are the states, and the chunks of
-# the inequality suites.  The budget is in cells because of peak RSS on the
-# check-suite benchmark: blocks of all 40 cases of a stepped suite read
-# 45.0 MB where one case at a time read 41.1 MB, and fixed 8-case blocks up
-# to 0.77 MB more than that (before the Gauss-Legendre rule stopped
-# importing numpy.polynomial), since the mass-conservation grids are about
-# twice as wide as the others.  At 4096 cells a stepped suite's traced peak
-# is at most 0.6 MB, below the 0.76 MB that import took; unchunked, the
-# 300 x 202 arrays of the Gagliardo-Nirenberg suite raised peak_rss_mb from
-# 40.5 to 43.2 MB.
-_BLOCK_CELLS = 4096
+# the inequality suites.  At the default counts a stepped suite is one block
+# (at most 40 x 470 or 40 x 2 x 270 cells), 100 block steps per check where
+# 4096-cell blocks took 500; a larger --cases splits into blocks of at most
+# this many cells.  The budget is in cells because of peak RSS on the
+# check-suite benchmark: one block per suite read 41.1 MB where 4096-cell
+# blocks read 40.6 MB (the largest traced peak, l1_contraction's, is
+# 1.5 MB); unchunked, the 300 x 202 arrays of the Gagliardo-Nirenberg suite
+# raised peak_rss_mb from 40.5 to 43.2 MB.
+_BLOCK_CELLS = 32768
 
 # Steps of every stepped suite.
 _STEPS = 25
@@ -246,7 +245,7 @@ def _gns_function(case):
     n = int(rng.integers(3, 201))
     dx = float(rng.uniform(0.01, 1.0))
     vals = 2.0 * rng.random(n) - 1.0
-    if not np.any(vals):
+    if not vals.any():
         vals[0] = 0.5
     return GridFunction(make_grid(0.0, n * dx, dx), vals), case["p"]
 
@@ -266,10 +265,11 @@ def _check_gns(problems) -> list[tuple[bool, str]]:
 
 
 def _draw_gns(rng, ranges) -> dict:
-    # p is one of the integer exponents in its range.
+    # p is one of the integer exponents in its range: the one integers()
+    # draw that rng.choice among them makes, at a quarter of its cost.
     lo, hi = ranges["p"]
     case = _draw(rng, {"case_seed": ranges["case_seed"]})
-    case["p"] = float(rng.choice(np.arange(lo, hi + 1.0)))
+    case["p"] = lo + float(rng.integers(0, int(hi - lo) + 1))
     return case
 
 

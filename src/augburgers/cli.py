@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -325,10 +326,19 @@ def _write_manifest(path: str, config: ExperimentConfig, extra: dict) -> None:
             fh.write(f"{k} = {entries[k]}\n")
 
 
-def _snapshot_block(t: float, u: GridFunction) -> np.ndarray:
-    """Rows ``(t, x, u)`` of one snapshot, one per cell."""
-    centers = u.grid.cell_centers
-    return np.column_stack((np.full(centers.size, t), centers, u.values))
+def _write_snapshots(path: str, grid, snapshots) -> None:
+    """Write ``(t, u)`` snapshots on ``grid`` as rows ``t, x, u``, one per
+    cell, as :func:`_write_float_csv` does, byte for byte.
+
+    The cell centres are formatted once: each line of a snapshot is its
+    formatted t, then a suffix ``,x,%.17g`` that formats only u.
+    """
+    suffixes = ["," + format(x, ".17g") + ",%.17g\r\n" for x in grid.cell_centers.tolist()]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(["t", "x", "u"])
+        for t, u in snapshots:
+            head = "%.17g" % t
+            fh.write((head + head.join(suffixes)) % tuple(u.values.tolist()))
 
 
 def _quadrature_entries(quad: kernel.KernelQuadrature) -> dict:
@@ -360,11 +370,7 @@ def cmd_run(config: ExperimentConfig) -> int:
         safety=config.safety,
         dt_max=config.dt_max,
     )
-    _write_float_csv(
-        os.path.join(config.output_dir, "snapshots.csv"),
-        ["t", "x", "u"],
-        (_snapshot_block(t, u) for t, u in record.snapshots),
-    )
+    _write_snapshots(os.path.join(config.output_dir, "snapshots.csv"), grid, record.snapshots)
     _write_float_csv(
         os.path.join(config.output_dir, "norms.csv"),
         ["t", "l1", "l2", "linf", "mass"],
@@ -483,10 +489,8 @@ def cmd_nwave(config: ExperimentConfig) -> int:
         )
         aborted = aborted or record.aborted
         t_final, u_final = record.snapshots[-1]
-        _write_float_csv(
-            os.path.join(config.output_dir, f"snapshots_{name}.csv"),
-            ["t", "x", "u"],
-            [_snapshot_block(t_final, u_final)],
+        _write_snapshots(
+            os.path.join(config.output_dir, f"snapshots_{name}.csv"), grid, [(t_final, u_final)]
         )
         d = analysis.n_wave_diagnostic(u_final)
         diag_rows.append(
@@ -563,10 +567,10 @@ def cmd_profile(config: ExperimentConfig, continuum: bool) -> int:
     )
     wave = profile.AsymptoticProfile(mass=total_mass, viscosity=a)
     os.makedirs(config.output_dir, exist_ok=True)
-    _write_float_csv(
+    _write_snapshots(
         os.path.join(config.output_dir, "profile.csv"),
-        ["t", "x", "u"],
-        [_snapshot_block(t, profile.sample_on_grid(wave, grid, t)) for t in times],
+        grid,
+        ((t, profile.sample_on_grid(wave, grid, t)) for t in times),
     )
     _write_manifest(
         os.path.join(config.output_dir, "manifest.txt"),
@@ -670,7 +674,9 @@ def _config_from_args(args) -> ExperimentConfig:
     return parse_config(text, {key: getattr(args, f"cfg_{key}") for key in _FIELDS})
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call of :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="augburgers",
         description=(
@@ -705,8 +711,11 @@ def main(argv: list[str] | None = None) -> int:
 
     for sub in (p_run, p_rates, p_nwave, p_selfconv, p_profile, p_check):
         _add_common(sub)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         config = _config_from_args(args)
         if args.command == "run":

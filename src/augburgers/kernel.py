@@ -42,8 +42,8 @@ at least 1/27.  So nothing cancels as N*h goes to 0, and moment2 is exactly
 scheme needs only q, p and N.  Its memory sum is their recurrence
 ``y_j = q y_{j-1} + x_j`` (see :mod:`augburgers.scheme`), which
 :func:`_recurrence` runs blocked, as products with the triangular Toeplitz
-matrices of :func:`_levels`.  :meth:`KernelQuadrature.weights` builds a head
-of the weights for checks.
+matrices of :func:`_levels` that end in one dense product.
+:meth:`KernelQuadrature.weights` builds a head of the weights for checks.
 """
 
 from __future__ import annotations
@@ -63,8 +63,15 @@ __all__ = [
 # Default bound on the kernel mass neglected by the truncation.
 DEFAULT_TAIL_TOL = 1e-8
 
-# Entries per block of the blocked recurrence.
+# Entries per block of the blocked recurrence, and the most inputs of its
+# dense top level: for one case 32 and 128 (128 kB), so that the 101 block
+# carries of the 3,200-cell reference grid are one product.  Several cases
+# take one matrix each per level, 16 and 32: 2 kB and 8 kB per case, and a
+# batched 16-entry block product is the quicker on the rows of ``check``.
 _BLOCK = 32
+_TOP = 128
+_CASES_BLOCK = 16
+_CASES_TOP = 32
 
 
 def _mesh_ratio(dx: float, theta: float) -> float:
@@ -170,66 +177,68 @@ def choose_n(dx: float, theta: float, tail_tol: float) -> int:
 
 
 def _levels(quadratures, width: int) -> tuple:
-    """``(T, e, carries)`` per level of :func:`_recurrence` for the ratios
+    """``(T, e)`` per level of :func:`_recurrence` for the ratios
     ``q = exp(-dx/theta)`` of one or more quadratures (cases), on inputs of
-    at most ``width`` entries padded to whole blocks.
+    at most ``width`` entries.
 
-    Level k has ratio ``exp(-span)`` with ``span = _BLOCK^k dx/theta``,
-    which the carries between the blocks of level k - 1 obey:
-    ``T[a, b] = exp(-(b - a) span)`` for ``a <= b``, else 0, gives a block's
-    outputs from a zero start, and ``e[a] = exp(-(_BLOCK - a) span)`` its
-    last output times ``exp(-span)``.
-    T is cut to the largest input of its level.  A case whose carries
-    underflow (``e[0] == 0``) skips them, and the levels stop where one
-    block holds a level's input or no case has carries:
-    ``O(_BLOCK^2 log width)`` memory per case.  One case gets a 2-D T and a
-    1-D e, several ``(cases, 1, ., .)`` stacks that broadcast over states.
+    Level k has ratio ``exp(-span)`` with ``span = b^k dx/theta`` for
+    blocks of b entries.  ``T[a, c] = exp(-(c - a) span)`` for ``a <= c``,
+    else 0, gives the outputs of ``T.shape[-1]`` inputs from a zero start.
+    A level of more inputs than the top (_TOP, for several cases
+    _CASES_TOP) is blocked: T is the b x b matrix of one block (b is _BLOCK,
+    for several cases _CASES_BLOCK), and ``e[a] = exp(-(b - a) span)`` gives
+    a block's last output times ``exp(-span)``, the carry to the next block,
+    whose carries obey level k + 1.  The levels end in one dense level of
+    at most top inputs, or in a blocked level whose e is None: every case's
+    carries underflow (``exp(-span) == 0``).  Memory per case is
+    ``O(top^2 + b^2 log width)``.  One case gets a 2-D T and a 1-D e,
+    several stacks of one per case.
     """
-    span = np.array([q.dx / q.theta for q in quadratures]).reshape(-1, 1, 1, 1)
-    d = np.arange(_BLOCK, dtype=np.float64)
-    lag = d[None, :] - d[:, None]
-    lag = np.where(lag >= 0.0, lag, np.inf)
+    block, top = (_BLOCK, _TOP) if len(quadratures) == 1 else (_CASES_BLOCK, _CASES_TOP)
+    span = np.array([q.dx / q.theta for q in quadratures]).reshape(-1, 1, 1)
     levels = []
-    size = -(-width // _BLOCK) * _BLOCK
+    size = width
     while True:
-        cut = min(size, _BLOCK)
-        t = np.exp(-lag[:cut, :cut] * span)
+        cut = size if size <= top else block
+        d = np.arange(cut, dtype=np.float64)
+        lag = d[None, :] - d[:, None]
+        t = np.exp(-np.where(lag >= 0.0, lag, np.inf) * span)
         e = None
-        if size > _BLOCK:
-            e = np.exp(-(_BLOCK - d)[:, None] * span)
-            e[e[:, 0, 0, 0] == 0.0] = 0.0
-        carries = e is not None and bool(e.any())
+        if size > top:
+            e = np.exp(-(block - d)[:, None] * span)
+            if not e.any():
+                e = None
         if len(quadratures) == 1:
-            t, e = t[0, 0], None if e is None else e[0, 0, :, 0]
-        levels.append((t, e, carries))
-        if not carries:
+            t, e = t[0], None if e is None else e[0, :, 0]
+        levels.append((t, e))
+        if e is None:
             return tuple(levels)
-        size = -(-size // _BLOCK)
-        span = span * _BLOCK
+        size = -(-size // block)
+        span = span * block
 
 
 def _recurrence(x: np.ndarray, levels, level: int = 0) -> np.ndarray:
     """``y_j = r y_{j-1} + x_j`` along the last axis of ``x`` from
     ``y_{-1} = 0``, with ``r`` the ratio of ``levels[level]``; for levels of
-    several quadratures the first axis of ``x`` is theirs.  ``x`` is
+    several quadratures ``x`` is ``(cases, states, n)``.  ``x`` is
     overwritten.
 
-    A block's outputs are its inputs times the level's matrix once r times
-    the previous block's last output is added to its first input.  Those
+    Inputs that fit the level's matrix are one product with it.  Else a
+    block's outputs are its inputs times the matrix once r times the
+    previous block's last output is added to its first input.  Those
     carries obey the same recurrence one level up, on the inputs times e.
     """
-    t, e, carries = levels[level]
-    n = x.shape[-1]
-    if n <= _BLOCK:
-        if t.ndim == 2:
-            return x @ t[:n, :n]
-        return (x[..., None, :] @ t[..., :n, :n])[..., 0, :]
+    t, e = levels[level]
+    n, block = x.shape[-1], t.shape[-1]
+    if n <= block:
+        return x @ t[..., :n, :n]
     lead = x.shape[:-1]
-    nb = -(-n // _BLOCK)
-    if nb * _BLOCK != n:
-        x = np.concatenate((x, np.zeros(lead + (nb * _BLOCK - n,))), axis=-1)
-    rows = x.reshape(lead + (nb, _BLOCK))
-    if carries:
+    nb = -(-n // block)
+    if nb * block != n:
+        x = np.concatenate((x, np.zeros(lead + (nb * block - n,))), axis=-1)
+    # All blocks of a case, of all its states, take one product.
+    rows = x.reshape(lead[: t.ndim - 2] + (-1, block))
+    if e is not None:
         carry = _recurrence((rows @ e).reshape(lead + (nb,)), levels, level + 1)
-        rows[..., 1:, 0] += carry[..., :-1]
+        x.reshape(lead + (nb, block))[..., 1:, 0] += carry[..., :-1]
     return (rows @ t).reshape(lead + (-1,))[..., :n]

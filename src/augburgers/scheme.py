@@ -33,8 +33,8 @@ in O(n) work at any N, blocked as products with triangular Toeplitz
 matrices.  The other terms are differences of one face flux, plus
 ``-M0 u_j`` (see :func:`rhs`).  A :class:`StateBlock` holds the states of
 independent cases, each with its own parameters, in one flat array and
-takes each state's ``max|u|`` once, when it is built: that one reduction is
-both its finiteness check and the bound of its next step.  :func:`march`,
+takes each case's ``max|u|`` once, when it is built: that reduction is both
+its finiteness check and the bound of its next step.  :func:`march`,
 the one time loop, steps a block with :func:`stable_dt` and
 :func:`step_euler`.
 """
@@ -176,10 +176,10 @@ class _Cases:
         self.mlf = [c.flux is FluxKind.MODIFIED_LAX_FRIEDRICHS for c in self.configs]
         self.any_mlf, self.all_mlf = any(self.mlf), all(self.mlf)
         self.levels = _levels([c.quadrature for c in self.configs], self.row)
-        # Per case, the terms of the step bound (see _denominators) and the
+        # Per case, the terms of the step bound (see StateBlock.rates) and the
         # constants of rhs.
         dx, diffusion, memory, self.headroom = [], [], [], []
-        quarter, a_minus, a_plus, mem_m0, mem_p, n_terms, q_n = ([] for _ in range(7))
+        quarter, a_minus, a_plus, mem_m0, p_frac, n_terms, q_n = ([] for _ in range(7))
         for p, c in zip(self.params, self.configs):
             quad = c.quadrature
             d, theta = c.grid.dx, quad.theta
@@ -194,33 +194,35 @@ class _Cases:
             a_minus.append(p.nu / (d * d))
             a_plus.append(a_minus[-1] + p.c * m1 / (theta * d))
             mem_m0.append(mem * m0)
-            mem_p.append(mem * -math.expm1(-h))
+            p_frac.append(-math.expm1(-h) / m0)
             n_terms.append(quad.n_terms)
             q_n.append(math.exp(-quad.n_terms * h))
         self.dx, self.diffusion, self.memory = (
             v[0] if self.lone else np.array(v) for v in (dx, diffusion, memory))
         self.quarter, self.a_minus, self.a_plus = map(self.per_row, (quarter, a_minus, a_plus))
-        self.mem_m0, self.mem_p = self.per_row(mem_m0), self.per_row(mem_p)
+        self.mem_m0 = self.per_row(mem_m0)
         self.eo = None  # 1.0 on the EO rows where the block mixes the two fluxes
         if self.any_mlf and not self.all_mlf:
             self.eo = self.per_row([0.0 if f else 1.0 for f in self.mlf])
+        # The memory input is the (c/theta^2) M0 u of the -M0 term, so the
+        # rest of its factor (c/theta^2) p, p/M0, scales the level-0 matrices.
+        t = self.levels[0][0]
+        t *= np.reshape(p_frac, (-1,) + (1,) * (t.ndim - 1))
         if self.lone:
             self.truncation = (n_terms[0], q_n[0])
             return
-        # The memory input's factor (c/theta^2) p scales the level-0 matrices.
-        t = self.levels[0][0]
-        t *= np.reshape(mem_p, (-1,) + (1,) * (t.ndim - 1))
-        # Entry j of a row is cell j - 1.  The q^N truncation gathers the sum
-        # N cells back for cells j - 1 >= N, else entry 0, which is 0.0.
-        # Fills and slices build both: a NumPy kernel's first run pages in
-        # its code, 64-128 kB of peak RSS.
-        mask = np.zeros(self.shape)
+        # Entry j of a row is cell j - 1; ``padding`` is True outside the
+        # cells, a bool array for its small memory.  The q^N truncation
+        # gathers the sum N cells back for cells j - 1 >= N, else entry 0,
+        # which is 0.0.  Fills and slices build both: a NumPy kernel's first
+        # run pages in its code, 64-128 kB of peak RSS.
+        padding = np.ones(self.shape, dtype=bool)
         idx = np.zeros(k * states * self.row, dtype=np.intp)
         for i, (n, big_n) in enumerate(zip(widths, n_terms)):
-            mask[i, :, 1 : n + 1] = 1.0
+            padding[i, :, 1 : n + 1] = False
             for start in range(i * states * self.row, (i + 1) * states * self.row, self.row):
                 idx[start + big_n + 1 : start + n + 1] = np.arange(start, start + n - big_n)
-        self.mask = mask.reshape(-1, self.row)
+        self.padding = padding.reshape(-1, self.row)
         self.gather = (idx, self.per_row(q_n))
 
     def per_row(self, values):
@@ -240,32 +242,39 @@ class StateBlock:
 
     ``flat`` is the layout of the cases (see :class:`_Cases`) and ``u`` its
     ``(cases, states, cells)`` view; cells past a shorter grid are exactly
-    0.0.  ``t[i]`` is case i's time.  ``umax``, each state's max|u| (a float
-    for a lone state), is taken once, here: the one reduction is also the
-    finiteness check (:class:`SolverAbort` on NaN or inf), and ``flat`` is
-    made read-only so that ``umax`` cannot go stale.  :meth:`start` builds
-    the first block.
+    0.0.  ``t[i]`` is case i's time.  ``umax``, the max|u| of each case's
+    states (a float for a lone state), is taken once, here: its reductions
+    are also the finiteness check (:class:`SolverAbort` on NaN or inf), and
+    ``flat`` is made read-only so that ``umax`` cannot go stale.  ``rates``
+    holds per case the step bound's denominator
+    ``max|u_j|/dx + 2 nu/dx^2 + (c/theta^2) sum (m+1) w_m``, formed here
+    once for both :func:`stable_dt` and :func:`step_euler`.  :meth:`start`
+    builds the first block.
     """
 
     t: tuple[float, ...]
     flat: np.ndarray
     cases: _Cases = field(repr=False)
     umax: object = field(init=False, repr=False)
+    rates: list[float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         cases, vals = self.cases, self.flat
-        av = np.abs(vals)
         if cases.lone:
-            umax = float(av.max())
+            umax = float(np.abs(vals).max())
             finite = math.isfinite(umax)
         else:
-            umax = av.reshape(cases.shape).max(axis=2)
+            # No |u| temporary of the whole block: a max and a min per case.
+            per_case = vals.reshape(len(cases.configs), -1)
+            umax = np.maximum(per_case.max(axis=1), -per_case.min(axis=1))
             finite = math.isfinite(umax.max())
         if not finite:
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise SolverAbort(f"non-finite value in {cases.locate(bad)}")
         vals.setflags(write=False)
+        rates = umax / cases.dx + cases.diffusion + cases.memory
         object.__setattr__(self, "umax", umax)
+        object.__setattr__(self, "rates", [rates] if cases.lone else rates.tolist())
 
     @classmethod
     def start(cls, initials, params, config) -> StateBlock:
@@ -319,25 +328,26 @@ class RunRecord:
     boundary_warning: bool = False
 
 
-def _add_memory_sum(part: np.ndarray, flat: np.ndarray, lo: int, cases: _Cases) -> None:
-    """``part += (c/theta^2) S`` on the cells from entry ``lo + 1`` of
-    ``flat`` (a lone state) or on all its entries but the first and last."""
+def _add_memory_sum(part: np.ndarray, x: np.ndarray, cases: _Cases) -> None:
+    """``part += (c/theta^2) S`` from the memory input ``x``, which is
+    ``(c/theta^2) M0 u`` (see :class:`_Cases`) and is overwritten: for a lone
+    state from the zero left of the cells of ``part``, padded to whole
+    blocks; for several rows in the flat layout, whose entries but the
+    first and last are ``part``'s."""
     m = part.size
+    # E_j = q E_{j-1} + p/M0 x_j, each row from its leading zero: e[k] is
+    # the sum of the entry after x[k].
     if cases.lone:
-        # E_j = q E_{j-1} + x_j with x_j = (c/theta^2) p u_{j-1} from the zero
-        # left of the window; the zeros past it pad the input to whole blocks.
-        x = flat[lo : lo - (-m // _BLOCK) * _BLOCK] * cases.mem_p
         e = _recurrence(x, cases.levels)[:m]
         part += e
         big_n, q_n = cases.truncation
         if big_n < m:
             part[big_n:] -= e[: m - big_n] * q_n
         return
-    # Each row recurs from its leading zero; e[k] is entry k + 1's sum.
-    e = _recurrence(flat.reshape(cases.shape).copy(), cases.levels).reshape(-1)
+    e = _recurrence(x.reshape(cases.shape), cases.levels).reshape(-1)
     part += e[:m]
     idx, q_n = cases.gather
-    shifted = e.take(idx)
+    shifted = e.take(idx, out=x.reshape(-1), mode="clip")
     rows = shifted.reshape(-1, cases.row)
     rows *= q_n
     part -= shifted[1:-1]
@@ -380,8 +390,8 @@ def rhs(block: StateBlock, params, config, dt_ref=None) -> np.ndarray:
     on zero data (both fluxes are 0 at (0, 0)), so ``rhs_j`` is exactly 0.0
     for ``j < lo = max(first nonzero cell - 1, 0)``; a lone state (one
     case, one state) assembles only ``u[lo:]``.  A block of more rows
-    assembles its whole flat array and multiplies the entries outside the
-    cases' cells by 0.  Besides the memory sum and ``-(c/theta^2) M0 u_j``
+    assembles its whole flat array and sets the entries outside the cases'
+    cells to 0.0.  Besides the memory sum and ``-(c/theta^2) M0 u_j``
     the terms are differences of one face flux over dx,
 
         H_{j+1/2} = g_{j+1/2} + dx (a+ u_{j+1} - a- u_j),
@@ -407,16 +417,20 @@ def rhs(block: StateBlock, params, config, dt_ref=None) -> np.ndarray:
         win, vals = flat[lo : n + 2], np.zeros(flat.shape)
         part = vals[lo + 1 : n + 1]
         _face_flux_difference(win, cases, a_minus, a_plus, out=part)
-        part -= np.multiply(win[1:-1], cases.mem_m0)
-        _add_memory_sum(part, flat, lo, cases)
+        # The memory input from the zero left of the window, padded to whole
+        # blocks by the zeros past it (at least one: x[1:] holds every cell).
+        x = flat[lo : lo - (-(part.size + 1) // _BLOCK) * _BLOCK] * cases.mem_m0
+        part -= x[1 : part.size + 1]
+        _add_memory_sum(part, x, cases)
     else:
         win = flat.reshape(-1, cases.row)
         rows = _face_flux_difference(win, cases, a_minus, a_plus)
-        rows -= np.multiply(win, cases.mem_m0)
+        x = np.multiply(win, cases.mem_m0)
+        rows -= x
         vals = rows.reshape(-1)
         part = vals[1:-1]
-        _add_memory_sum(part, flat, 0, cases)
-        rows *= cases.mask
+        _add_memory_sum(part, x, cases)
+        np.copyto(rows, 0.0, where=cases.padding)
     # A non-finite entry makes the sum non-finite; a finite sum of finite
     # terms can also overflow, so the entries decide.
     if not math.isfinite(part.sum()):
@@ -424,15 +438,6 @@ def rhs(block: StateBlock, params, config, dt_ref=None) -> np.ndarray:
         if bad.size:
             raise SolverAbort(f"right-hand side is not finite in {cases.locate(int(bad[0]))}")
     return vals
-
-
-def _denominators(block: StateBlock) -> list[float]:
-    # Per case, the largest over its states of
-    # max|u_j|/dx + 2 nu/dx^2 + (c/theta^2) sum (m+1) w_m.
-    cases = block.cases
-    if cases.lone:
-        return [block.umax / cases.dx + cases.diffusion + cases.memory]
-    return (block.umax.max(axis=1) / cases.dx + cases.diffusion + cases.memory).tolist()
 
 
 def _flux_headroom(config: SchemeConfig) -> float:
@@ -468,7 +473,7 @@ def stable_dt(
     cases = _own_cases(block, params, config)
     return [
         min(h * safety / d, dt_max) if d > 0.0 else dt_max
-        for h, d in zip(cases.headroom, _denominators(block))
+        for h, d in zip(cases.headroom, block.rates)
     ]
 
 
@@ -478,13 +483,13 @@ def step_euler(block: StateBlock, params, config, dts) -> StateBlock:
     ``dts`` has one entry per case, shared by the case's states, and
     ``params`` and ``config`` are the block's (see :func:`rhs`).  A step
     beyond the stability bound is rejected outright, never clipped.  The
-    bound reads the block's ``umax``; building the new block checks that it
+    bound reads the block's ``rates``; building the new block checks that it
     is finite.
     """
     cases = _own_cases(block, params, config)
     if len(dts) != len(cases.configs):
         raise ValueError(f"need one dt per case, got {len(dts)} for {len(cases.configs)}")
-    for dt, h, d in zip(dts, cases.headroom, _denominators(block)):
+    for dt, h, d in zip(dts, cases.headroom, block.rates):
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         bound = h / d if d > 0.0 else math.inf
@@ -530,19 +535,19 @@ def march(
     block = StateBlock.start(initials, params, config)
     for target in targets:
         while block.t[0] < target:
-            dts = []
-            lands = False
-            bounds = stable_dt(block, params, config, safety, dt_max)
-            for i, (bound, t) in enumerate(zip(bounds, block.t)):
-                gap = target - t
-                dt = min(bound, gap)
-                if dt >= gap * (1.0 - 1e-14):
-                    dt, lands = gap, True
-                if t + dt == t:
-                    raise SolverAbort(f"the step of case {i} at t = {t!r} does not advance its time")
-                dts.append(dt)
+            dts = stable_dt(block, params, config, safety, dt_max)
+            # Several cases take the default target, so only one case lands.
+            gap = target - block.t[0]
+            lands = dts[0] >= gap * (1.0 - 1e-14)
+            if lands:
+                dts = [gap]
+            stuck = list(map(operator.eq, map(operator.add, block.t, dts), block.t))
+            if any(stuck):
+                i = stuck.index(True)
+                raise SolverAbort(
+                    f"the step of case {i} at t = {block.t[i]!r} does not advance its time")
             block = step_euler(block, params, config, dts)
-            if lands:  # one case, which lands on the target exactly
+            if lands:  # exactly on the target
                 block = StateBlock((target,), block.flat, block.cases)
             yield tuple(dts), block
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from augburgers.kernel import build, choose_n
+from augburgers.kernel import _BLOCK, _TOP, _levels, _recurrence, build, choose_n
 
 
 def summed_moments_highprec(dx, theta, n):
@@ -255,3 +255,65 @@ class TestMomentConsistency:
             dist = [abs(1.0 - v) for v in seq]
             assert all(b < a for a, b in zip(dist, dist[1:]))
         assert all(0.0 <= 1.0 - v <= tail_tol for v in m0s)
+
+
+def recurrence_oracle(x, q):
+    """``y_j = q y_{j-1} + x_j`` from ``y_{-1} = 0``, one entry at a time."""
+    y, prev = [], 0.0
+    for value in x:
+        prev = q * prev + value
+        y.append(prev)
+    return np.array(y)
+
+
+class TestRecurrence:
+    """The blocked recurrence against a plain loop: widths on both sides of
+    one block, of the old three-level width _BLOCK^2, of the dense top's
+    cap and of the cap's last two-level width _TOP * _BLOCK."""
+
+    WIDTHS = sorted({w + d for w in (_BLOCK, _BLOCK**2, _TOP, _TOP * _BLOCK) for d in (-1, 0, 1)})
+    # h = dx/theta: carries that reach across many blocks, a typical ratio,
+    # one whose carries reach only the next entry (exp(-32 h) == 0) and one
+    # whose carries underflow (exp(-h) == 0).
+    H = (1e-3, 0.1, 25.0, 800.0)
+
+    @staticmethod
+    def assert_close(y, oracle):
+        assert np.max(np.abs(y - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("h", H)
+    def test_one_quadrature(self, width, h):
+        quad = build(h, 1.0, 10)
+        x = np.random.default_rng(width).uniform(-1.0, 1.0, width)
+        y = _recurrence(x.copy(), _levels([quad], width))
+        self.assert_close(y, recurrence_oracle(x, math.exp(-h)))
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_several_quadratures(self, width):
+        # One case per ratio, two states each; shorter inputs than the
+        # levels were built for are allowed.
+        quads = [build(h, 1.0, 10) for h in self.H]
+        x = np.random.default_rng(width).uniform(-1.0, 1.0, (len(quads), 2, width))
+        levels = _levels(quads, width + 5)
+        y = _recurrence(x.copy(), levels)
+        for case, quad in enumerate(quads):
+            for state in range(2):
+                oracle = recurrence_oracle(x[case, state], math.exp(-quad.dx))
+                self.assert_close(y[case, state], oracle)
+
+    def test_levels_end_in_one_dense_level(self):
+        quad = build(0.1, 1.0, 185)
+        # The 3,232-entry rows of the 3,200-cell reference grid: one blocked
+        # level, then its 101 carries in one product.
+        shapes = [(t.shape, e is None) for t, e in _levels([quad], 3232)]
+        assert shapes == [((_BLOCK, _BLOCK), False), ((101, 101), True)]
+        assert [t.shape for t, _ in _levels([quad], _TOP)] == [(_TOP, _TOP)]
+        deep = _levels([quad], _TOP * _BLOCK + 1)
+        assert [t.shape for t, _ in deep] == [(_BLOCK, _BLOCK), (_BLOCK, _BLOCK), (5, 5)]
+        # Several cases: 16-entry blocks and a dense top of at most 32, one
+        # matrix per case (the 480-entry rows of a mass-conservation block).
+        several = _levels([quad, build(0.25, 2.0, 10)], 480)
+        assert [t.shape for t, _ in several] == [(2, 16, 16), (2, 30, 30)]
+        # Carries that underflow end the levels after the first.
+        assert [e for _, e in _levels([build(800.0, 1.0, 10)], 3232)] == [None]

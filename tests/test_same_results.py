@@ -1,6 +1,6 @@
 """tools/same_results.py on seed 0: a copy of this tree reads identical, a
 copy with one right-hand-side term moved by one ulp reads different on every
-command that steps."""
+command that steps, and within a relative tolerance when one is given."""
 
 import importlib.util
 import os
@@ -14,9 +14,11 @@ same_results = importlib.util.module_from_spec(spec)
 sys.modules[spec.name] = same_results
 spec.loader.exec_module(same_results)
 
-# The diffusion coefficient a- = nu/dx^2 of the face flux, one ulp up.
+# The diffusion coefficient a- = nu/dx^2 of the face flux, one ulp up, and a
+# relative tolerance that the differences it makes stay within.
 TERM = "a_minus.append(p.nu / (d * d))"
 NUDGED = "a_minus.append(math.nextafter(p.nu / (d * d), math.inf))"
+TOLERANCE = 1e-9
 
 
 def copy_tree(dest):
@@ -41,11 +43,27 @@ def test_one_ulp_in_rhs_is_different(tmp_path):
     assert text.count(TERM) == 1
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text.replace(TERM, NUDGED))
-    verdicts = dict(same_results.same_results(nudged, run_seeds=[0], check_seeds=[]))
+    runs = {label: (mine, theirs) for label, mine, theirs
+            in same_results.outputs(nudged, run_seeds=[0], check_seeds=[])}
     # profile samples the wave and steps nothing; every other command steps.
-    assert verdicts.pop("profile") == "identical"
-    assert len(verdicts) == 2 + len(same_results.FIXED) - 1
-    for label, verdict in verdicts.items():
+    assert same_results.compare(*runs.pop("profile"), tolerance=TOLERANCE) == "identical"
+    assert len(runs) == 2 + len(same_results.FIXED) - 1
+    for label, (mine, theirs) in runs.items():
+        verdict = same_results.compare(mine, theirs)
         assert verdict.startswith("different ("), label
         assert "largest absolute difference" in verdict
         assert verdict.endswith("exit codes 0 and 0)")
+        within = same_results.compare(mine, theirs, tolerance=TOLERANCE)
+        assert within.startswith(f"within {TOLERANCE:g} (largest relative difference "), label
+
+
+def test_within_needs_equal_exit_codes_and_other_outputs():
+    a = (0, b"", {"x.csv": b"t,u\r\n1,0.5\r\n", "manifest.txt": b"k = 1\n"})
+    b = (0, b"", {"x.csv": b"t,u\r\n1,0.50000000001\r\n", "manifest.txt": b"k = 1\n"})
+    assert same_results.compare(a, b, tolerance=1e-9).startswith("within 1e-09 (")
+    assert same_results.compare(a, b, tolerance=1e-12).startswith("different (")
+    assert same_results.compare(a, (1,) + b[1:], tolerance=1e-9).startswith("different (")
+    changed = (0, b"", {**b[2], "manifest.txt": b"k = 2\n"})
+    assert same_results.compare(a, changed, tolerance=1e-9).startswith("different (")
+    text = (0, b"", {**a[2], "x.csv": b"t,u\r\n1,nan\r\n"})
+    assert same_results.compare(a, text, tolerance=1.0).startswith("different (")

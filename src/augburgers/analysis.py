@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .grid import Grid, GridFunction, norm
+from .grid import Grid, GridFunction, norm, norms
 from .profile import AsymptoticProfile, sample_on_grid
 from .scheme import RunRecord
 
@@ -61,18 +61,22 @@ class RateSeries:
 def scaled_profile_error(
     record: RunRecord,
     profile: AsymptoticProfile,
-    p: float,
+    ps: Sequence[float],
     samples: Mapping[float, GridFunction] | None = None,
-) -> RateSeries:
-    """Rate-weighted distance between snapshots and the diffusive wave.
+) -> list[RateSeries]:
+    """Rate-weighted distances between snapshots and the diffusive wave, one
+    series per exponent in ``ps``.
 
+    Each snapshot's difference from the wave, its finiteness check and its
+    ``|difference|`` are formed once for all exponents (:func:`grid.norms`).
     Snapshots at t = 0 are skipped with a warning (the profile is singular
     there).  ``samples`` maps snapshot times to the wave already sampled on
-    the snapshot grid, so callers comparing several runs or norms sample
-    each time once; times it lacks are sampled here.
+    the snapshot grid, so callers comparing several runs sample each time
+    once; times it lacks are sampled here.
     """
+    ps = [float(p) for p in ps]
     times = []
-    values = []
+    values = [[] for _ in ps]
     for t, u in record.snapshots:
         if t <= 0.0:
             warnings.warn(
@@ -82,10 +86,14 @@ def scaled_profile_error(
         prof = (samples or {}).get(t)
         if prof is None:
             prof = sample_on_grid(profile, u.grid, t)
-        err = norm(GridFunction(u.grid, u.values - prof.values), p)
+        errs = norms(GridFunction(u.grid, u.values - prof.values), ps)
         times.append(t)
-        values.append(t ** _rate_exponent(p) * err)
-    return RateSeries(p=p, times=np.asarray(times), values=np.asarray(values))
+        for series, p, err in zip(values, ps, errs):
+            series.append(t ** _rate_exponent(p) * err)
+    return [
+        RateSeries(p=p, times=np.array(times), values=np.array(v))
+        for p, v in zip(ps, values)
+    ]
 
 
 def restrict_pairwise(w: GridFunction, coarse: Grid) -> GridFunction:

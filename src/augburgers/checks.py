@@ -45,8 +45,11 @@ def _random_params(rng) -> tuple[PhysicalParams, float]:
 
 
 def _setup_for_case(rng, tail_tol=1e-6, extra_margin=4):
-    # The memory term spreads support rightward roughly one kernel width per
-    # step, so exact-conservation checks need extra_margin > steps taken.
+    # The memory sum S_j reads u_{j-N} .. u_{j-1}, so the support grows
+    # rightward by N cells per step (leftward by one): data with a right
+    # margin of N + extra_margin cells reach the last cell within two steps
+    # when extra_margin < N, and mass flows out through the right face from
+    # then on.  The margin keeps that outflow small, not zero.
     params, theta = _random_params(rng)
     dx = 0.25
     n_terms = kernel.choose_n(dx, theta, tail_tol)

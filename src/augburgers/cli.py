@@ -418,7 +418,7 @@ def cmd_rates(config: ExperimentConfig) -> int:
         mass=total_mass,
         viscosity=profile.effective_viscosity(config.nu, config.c, quad.moment2),
     )
-    # One sample of the wave per time, shared by every variant and norm.
+    # One sample of the wave per time, shared by every variant.
     samples = {t: profile.sample_on_grid(wave, grid, t) for t in times}
     os.makedirs(config.output_dir, exist_ok=True)
 
@@ -445,8 +445,10 @@ def cmd_rates(config: ExperimentConfig) -> int:
         extras[f"{name}_boundary_warning"] = record.boundary_warning
         # The wave is singular at t = 0, so only later snapshots are compared.
         later = replace(record, snapshots=[s for s in record.snapshots if s[0] > 0.0])
-        for p, label in ((1.0, "1"), (2.0, "2"), (math.inf, "inf")):
-            series = analysis.scaled_profile_error(later, wave, p, samples=samples)
+        errors = analysis.scaled_profile_error(
+            later, wave, (1.0, 2.0, math.inf), samples=samples
+        )
+        for series, label in zip(errors, ("1", "2", "inf")):
             for t, value in zip(series.times, series.values):
                 rows.append((t, name, label, value))
         # Drop this variant's snapshots before the next run makes its own.

@@ -3,12 +3,14 @@
 Grid functions represent compactly supported data on the real line, truncated
 to a finite window of uniform cells; everything outside the window is taken to
 be zero.  The reductions (norms, mass) return exactly ``math.fsum`` of the
-cell terms, the exactly rounded sum, so results are deterministic.  fsum's
-cost grows with the number of binades its input spans, and a decaying
-solution (or error) reaches down to subnormals; so fsum runs on the head of
-each sum, the terms within a factor 2^-64 / n of the largest, and the
-neglected tail is certified not to change the rounded result (see
-:func:`_exact_sum`).
+cell terms, the exactly rounded sum, so results are deterministic.  fsum on
+a Python list costs far more than array work, so the sums are formed by
+error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+summation, Part I", 2008): each round splits the terms exactly into parts
+on one coarse grid of multiples, whose sum NumPy forms exactly in any
+order, and small residuals.  fsum then runs only on the few partial sums
+and the residuals' rounded sum, and the result stands when that sum's
+error bound cannot move it (see :func:`_exact_sum`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,17 +29,15 @@ __all__ = [
     "make_grid",
     "project_initial",
     "norm",
+    "norms",
     "mass",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Head/tail split of the exact sums: with m = max|x_j| over n terms, the
-# terms below m 2^-64 / n (the tail) add up to less than m 2^-63.
-_TAIL_SCALE = 2.0**-64
-_TAIL_BOUND = 2.0**-63
-# Outside [2^-900, 2^900] for m, the scaled thresholds could lose bits to
-# underflow or the shifted head sums overflow, so the full sum runs there.
+# Outside [2^-900, 2^900] for the largest term, the extraction grid could
+# reach the overflow range or its residual bound lose bits to underflow, so
+# the full sum runs there.
 _CERTIFIED_RANGE = (2.0**-900, 2.0**900)
 
 # Subintervals of the composite Simpson rule used per cell (and per smooth
@@ -217,59 +217,87 @@ def _validate_p(p: float) -> float:
     return p
 
 
-def _exact_sum(x: np.ndarray, ax: np.ndarray) -> float:
-    """``math.fsum(x)``, from a sum over the head of ``x`` where it is certified.
+def _exact_sum(x: np.ndarray, m: float) -> float:
+    """``math.fsum(x)``, from the exact partial sums of error-free extraction.
 
-    ``ax`` is ``|x|``.  With m = max ax over n terms, the tail terms
-    (ax < m 2^-64 / n) add less than delta = m 2^-63 in total, so the exact
-    sum lies within delta of the head's.  Rounding to nearest is monotone:
-    when the head's exact sums shifted by -delta and by +delta round to the
-    same float, that float is the exactly rounded total.  Otherwise (the
-    total lies too near a rounding boundary) the full fsum runs.  A tail of
-    exact zeros needs no certificate, and no tail at all means one fsum.
+    ``m`` is ``max|x|``.  With n terms and 2^M >= n + 2, the first round
+    takes sigma = 2^k >= 2^M m.  A round splits each remaining term r
+    exactly into ``q = (r + sigma) - sigma`` and the residual ``r - q``:
+    every q is a multiple of 2^(k-53) of magnitude at most sigma 2^-M, so
+    ``np.add.reduce(q)`` is exact in any order, and every residual has
+    magnitude at most 2^(k-53), so a next round takes sigma = 2^(k-53+M).
+    In any order of its additions, the residuals' rounded sum is within
+    ``n 2^-52 * n 2^(k-53)`` of their exact sum, so the exact total lies
+    within that bound of the partial sums plus the residuals' sum.
+    Rounding to nearest is monotone: when those sums shifted by -/+ the
+    bound round to the same float, that float is the exactly rounded total.
+    When the residuals are all zero, the partial sums are the whole sum.
     """
     n = x.size
-    # ufunc.reduce skips the Python wrapper of ndarray.max: on sums of a few
-    # hundred terms the call overhead is most of the helper's cost.
-    m = float(np.maximum.reduce(ax))
     lo, hi = _CERTIFIED_RANGE
     if not lo <= m <= hi:
         return math.fsum(x.tolist())
-    head = x[ax >= m * _TAIL_SCALE / n].tolist()
-    if len(head) == n or len(head) == np.count_nonzero(x):
-        return math.fsum(head)
-    delta = m * _TAIL_BOUND
-    below = math.fsum(head + [-delta])
-    if below == math.fsum(head + [delta]):
-        return below
-    return math.fsum(x.tolist())
+    shift = (n + 1).bit_length()  # 2^M >= n + 2
+    k = math.frexp(m)[1] + shift  # 2^k > 2^M m
+    # 2^(2 bits) >= n^2, so the residual sum's bound is a power of two.
+    bits = 2 * n.bit_length() - 105
+    parts = []
+    r = x
+    while True:
+        sigma = math.ldexp(1.0, k)
+        q = r + sigma
+        q -= sigma
+        parts.append(float(np.add.reduce(q)))
+        r = np.subtract(r, q, out=None if r is x else r)
+        rest = float(np.add.reduce(r))
+        bound = math.ldexp(1.0, k + bits)
+        below = math.fsum(parts + [rest, -bound])
+        if below == math.fsum(parts + [rest, bound]):
+            return below
+        if not np.logical_or.reduce(r):
+            return math.fsum(parts)
+        k += shift - 53
 
 
 def norm(w: GridFunction, p: float) -> float:
     """Discrete L^p norm: ``(dx * sum |u_j|^p)^(1/p)``, max for p = inf.
 
     The sum is exactly ``math.fsum`` of the terms ``|u_j|^p``, the exactly
-    rounded sum, computed on its certified head (:func:`_exact_sum`); the
-    result does not depend on how the reduction is scheduled.
+    rounded sum, formed by :func:`_exact_sum`; the result does not depend
+    on how the reduction is scheduled.
     """
-    p = _validate_p(p)
+    return norms(w, (p,))[0]
+
+
+def norms(w: GridFunction, ps: Sequence[float]) -> list[float]:
+    """``[norm(w, p) for p in ps]``, bit for bit, from one ``|u|``."""
+    ps = [_validate_p(p) for p in ps]
     av = np.abs(w.values)
-    if math.isinf(p):
-        return float(av.max(initial=0.0))
-    if p == 1.0:
-        terms = av
-    elif p == 2.0:
-        terms = av * av
-    else:
-        terms = av**p
-    return (w.grid.dx * _exact_sum(terms, terms)) ** (1.0 / p)
+    # ufunc.reduce skips the Python wrapper of ndarray.max: on sums of a few
+    # hundred terms the call overhead is much of the sum's cost.
+    m = float(np.maximum.reduce(av))
+    out = []
+    for p in ps:
+        if math.isinf(p):
+            out.append(m)
+            continue
+        if p == 1.0:
+            terms, top = av, m
+        elif p == 2.0:
+            # Rounding is monotone, so the largest square is m * m.
+            terms, top = av * av, m * m
+        else:
+            terms = av**p
+            top = float(np.maximum.reduce(terms))
+        out.append((w.grid.dx * _exact_sum(terms, top)) ** (1.0 / p))
+    return out
 
 
 def mass(w: GridFunction) -> float:
     """Signed total mass ``dx * sum u_j``.
 
-    The sum is exactly ``math.fsum`` of the cell values, computed on its
-    certified head (:func:`_exact_sum`).
+    The sum is exactly ``math.fsum`` of the cell values, formed by
+    :func:`_exact_sum`.
     """
     vals = w.values
-    return w.grid.dx * _exact_sum(vals, np.abs(vals))
+    return w.grid.dx * _exact_sum(vals, float(np.maximum.reduce(np.abs(vals))))

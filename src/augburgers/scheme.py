@@ -41,6 +41,7 @@ the one time loop, steps a block with :func:`stable_dt` and
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 import warnings
@@ -250,18 +251,25 @@ class StateBlock:
     ``max|u_j|/dx + 2 nu/dx^2 + (c/theta^2) sum (m+1) w_m``, formed here
     once for both :func:`stable_dt` and :func:`step_euler`.  :meth:`start`
     builds the first block.
+
+    ``lo`` of a lone state is a lower bound on the index of its first
+    nonzero entry in ``flat`` (0 for a block of more rows): :meth:`start`
+    finds the entry, and since ``rhs_j`` vanishes left of the cell before
+    it (see :func:`rhs`), each step lowers the bound by one.  The lone
+    state's step, its ``umax`` and its step log work on ``flat[lo:]`` only.
     """
 
     t: tuple[float, ...]
     flat: np.ndarray
     cases: _Cases = field(repr=False)
+    lo: int = 0
     umax: object = field(init=False, repr=False)
     rates: list[float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         cases, vals = self.cases, self.flat
         if cases.lone:
-            umax = float(np.abs(vals).max())
+            umax = float(np.maximum.reduce(np.abs(vals[self.lo :])))
             finite = math.isfinite(umax)
         else:
             # No |u| temporary of the whole block: a max and a min per case.
@@ -294,7 +302,9 @@ class StateBlock:
                 raise ValueError("each case needs as many initial states, on its config's grid")
             for j, initial in enumerate(group):
                 flat[i, j, 1 : c.grid.num_cells + 1] = initial.values
-        return cls((0.0,) * len(cases.configs), flat.reshape(-1), cases)
+        flat = flat.reshape(-1)
+        lo = int((flat != 0.0).argmax()) if cases.lone else 0
+        return cls((0.0,) * len(cases.configs), flat, cases, lo)
 
     @property
     def u(self) -> np.ndarray:
@@ -388,8 +398,9 @@ def rhs(block: StateBlock, params, config, dt_ref=None) -> np.ndarray:
 
     Every term of ``rhs_j`` reads only ``u_{j-N} .. u_{j+1}`` and vanishes
     on zero data (both fluxes are 0 at (0, 0)), so ``rhs_j`` is exactly 0.0
-    for ``j < lo = max(first nonzero cell - 1, 0)``; a lone state (one
-    case, one state) assembles only ``u[lo:]``.  A block of more rows
+    left of the cell before the first nonzero one; a lone state (one case,
+    one state) assembles only the cells from the one before ``block.lo``
+    (see :class:`StateBlock`).  A block of more rows
     assembles its whole flat array and sets the entries outside the cases'
     cells to 0.0.  Besides the memory sum and ``-(c/theta^2) M0 u_j``
     the terms are differences of one face flux over dx,
@@ -407,13 +418,18 @@ def rhs(block: StateBlock, params, config, dt_ref=None) -> np.ndarray:
     if cases.any_mlf:
         if dt_ref is None or not min(dt_ref) > 0.0:
             raise ValueError("the modified Lax-Friedrichs flux needs a positive dt_ref")
-        dissipation = cases.per_row([0.25 / d if f else 0.0 for d, f in zip(dt_ref, cases.mlf)])
+        if cases.lone:
+            dissipation = 0.25 / dt_ref[0]
+        else:
+            dissipation = cases.per_row(
+                [0.25 / d if f else 0.0 for d, f in zip(dt_ref, cases.mlf)])
         a_minus = a_minus + dissipation
         a_plus = a_plus + dissipation
     if cases.lone:
-        # The window from the zero left of cell lo to the zero past the grid.
+        # The window from the zero left of the cell before entry block.lo
+        # to the zero past the grid.
         n = cases.width
-        lo = max(int((flat != 0.0).argmax()) - 2, 0)
+        lo = max(block.lo - 2, 0)
         win, vals = flat[lo : n + 2], np.zeros(flat.shape)
         part = vals[lo + 1 : n + 1]
         _face_flux_difference(win, cases, a_minus, a_plus, out=part)
@@ -433,7 +449,7 @@ def rhs(block: StateBlock, params, config, dt_ref=None) -> np.ndarray:
         np.copyto(rows, 0.0, where=cases.padding)
     # A non-finite entry makes the sum non-finite; a finite sum of finite
     # terms can also overflow, so the entries decide.
-    if not math.isfinite(part.sum()):
+    if not math.isfinite(np.add.reduce(part)):
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:
             raise SolverAbort(f"right-hand side is not finite in {cases.locate(int(bad[0]))}")
@@ -471,6 +487,9 @@ def stable_dt(
     """
     _check_step_limits(safety, dt_max)
     cases = _own_cases(block, params, config)
+    if cases.lone:
+        d = block.rates[0]
+        return [min(cases.headroom[0] * safety / d, dt_max) if d > 0.0 else dt_max]
     return [
         min(h * safety / d, dt_max) if d > 0.0 else dt_max
         for h, d in zip(cases.headroom, block.rates)
@@ -484,7 +503,8 @@ def step_euler(block: StateBlock, params, config, dts) -> StateBlock:
     ``params`` and ``config`` are the block's (see :func:`rhs`).  A step
     beyond the stability bound is rejected outright, never clipped.  The
     bound reads the block's ``rates``; building the new block checks that it
-    is finite.
+    is finite.  A lone state is updated from the entry before ``block.lo``
+    on, where its ``rhs`` can be nonzero.
     """
     cases = _own_cases(block, params, config)
     if len(dts) != len(cases.configs):
@@ -498,8 +518,16 @@ def step_euler(block: StateBlock, params, config, dts) -> StateBlock:
     vals = rhs(block, params, config, dt_ref=dts)
     # rhs has checked its own values; a finite rhs can still overflow the
     # update, which the new block's umax reduction catches.
+    if cases.lone:
+        dt = dts[0]
+        lo = max(block.lo - 1, 0)
+        cells = slice(lo, cases.width + 1)
+        part = vals[cells]
+        part *= dt
+        part += block.flat[cells]
+        return StateBlock((block.t[0] + dt,), vals, cases, lo)
     rows = vals.reshape(-1, cases.row)
-    rows *= dts[0] if cases.lone else cases.per_row(dts)
+    rows *= cases.per_row(dts)
     vals += block.flat
     return StateBlock(tuple(map(operator.add, block.t, dts)), vals, cases)
 
@@ -533,6 +561,7 @@ def march(
     if not isinstance(config, SchemeConfig) and targets != (math.inf,):
         raise ValueError("a march of several cases takes the default target only")
     block = StateBlock.start(initials, params, config)
+    lone = block.cases.lone
     for target in targets:
         while block.t[0] < target:
             dts = stable_dt(block, params, config, safety, dt_max)
@@ -541,14 +570,18 @@ def march(
             lands = dts[0] >= gap * (1.0 - 1e-14)
             if lands:
                 dts = [gap]
-            stuck = list(map(operator.eq, map(operator.add, block.t, dts), block.t))
-            if any(stuck):
+            if lone:
+                stuck = [block.t[0] + dts[0] == block.t[0]]
+            else:
+                stuck = list(map(operator.eq, map(operator.add, block.t, dts), block.t))
+            if True in stuck:
                 i = stuck.index(True)
                 raise SolverAbort(
                     f"the step of case {i} at t = {block.t[i]!r} does not advance its time")
             block = step_euler(block, params, config, dts)
-            if lands:  # exactly on the target
-                block = StateBlock((target,), block.flat, block.cases)
+            if lands:  # exactly on the target, the state as checked
+                block = copy.copy(block)
+                object.__setattr__(block, "t", (target,))
             yield tuple(dts), block
 
 
@@ -561,16 +594,18 @@ def _boundary_contact(u: GridFunction, u0_linf: float) -> bool:
     return edge > _BOUNDARY_FRACTION * u0_linf
 
 
-def _log_sums(dt: float, block: StateBlock, cells: slice) -> tuple:
+def _log_sums(dt: float, block: StateBlock, end: int) -> tuple:
     """``(t, dt, sum u, sum |u|, sum u^2, max|u|)`` of a lone-state block
-    whose grid function is ``block.flat[cells]``, the raw row of the step log.
+    whose grid function ends before ``block.flat[end]``, the raw row of the
+    step log; the sums run from entry ``block.lo`` on, since the entries
+    left of it are zeros.
 
     The pairwise sums are accurate to O(eps log n), far inside the 1e-12
     monotonicity and 1e-8 mass tolerances; exactly rounded sums are left to
     grid.norm and grid.mass, which snapshot analysis uses.  A function of
     its own, so that no array outlives the row.
     """
-    v = block.flat[cells]
+    v = block.flat[block.lo : end]
     av = np.abs(v)
     return (block.t[0], dt, np.add.reduce(v), np.add.reduce(av),
             np.add.reduce(np.square(av, out=av)), block.umax)
@@ -624,7 +659,7 @@ def run(
         try:
             for count, ((dt,), block) in enumerate(steps, 1):
                 if count % report_every == 0:
-                    rows.append(_log_sums(dt, block, cells))
+                    rows.append(_log_sums(dt, block, cells.stop))
                 while k < len(snaps) and block.t[0] >= snaps[k]:
                     snap = GridFunction.from_checked(grid, block.flat[cells].copy())
                     record.snapshots.append((snaps[k], snap))

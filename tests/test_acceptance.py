@@ -144,7 +144,7 @@ def diffusive_wave(initial_datum):
 def scaled_errors(record, wave, p):
     # The wave is singular at t = 0, so only later snapshots are compared.
     later = replace(record, snapshots=[s for s in record.snapshots if s[0] > 0.0])
-    series = analysis.scaled_profile_error(later, wave, p)
+    (series,) = analysis.scaled_profile_error(later, wave, (p,))
     return {round(t): v for t, v in zip(series.times, series.values)}
 
 

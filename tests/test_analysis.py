@@ -37,7 +37,7 @@ class TestScaledProfileError:
         snaps = [
             (t, sample_on_grid(self.wave, self.grid, t)) for t in (1.0, 4.0, 9.0)
         ]
-        series = scaled_profile_error(record_from_snapshots(snaps), self.wave, 2.0)
+        (series,) = scaled_profile_error(record_from_snapshots(snaps), self.wave, (2.0,))
         assert np.all(series.values == 0.0)
 
     def test_skips_time_zero_with_warning(self):
@@ -46,7 +46,8 @@ class TestScaledProfileError:
             (1.0, sample_on_grid(self.wave, self.grid, 1.0)),
         ]
         with pytest.warns(UserWarning, match="t = 0"):
-            series = scaled_profile_error(record_from_snapshots(snaps), self.wave, 1.0)
+            (series,) = scaled_profile_error(
+                record_from_snapshots(snaps), self.wave, (1.0,))
         assert list(series.times) == [1.0]
 
     def test_rate_exponents(self):
@@ -56,11 +57,11 @@ class TestScaledProfileError:
         rec = record_from_snapshots(snaps)
         prof = sample_on_grid(self.wave, self.grid, t)
         for p, expo in ((1.0, 0.0), (2.0, 0.25), (math.inf, 0.5)):
-            series = scaled_profile_error(rec, self.wave, p)
+            (series,) = scaled_profile_error(rec, self.wave, (p,))
+            assert series.p == p
             assert series.values[0] == pytest.approx(
                 t**expo * norm(prof, p), rel=1e-13
             )
-
 
     def test_given_samples_are_used_and_missing_times_sampled(self):
         rng = np.random.default_rng(4)
@@ -71,16 +72,43 @@ class TestScaledProfileError:
         rec = record_from_snapshots(snaps)
         samples = {t: sample_on_grid(self.wave, self.grid, t) for t in (1.0, 5.0)}
         for p in (1.0, 2.0, math.inf):
-            plain = scaled_profile_error(rec, self.wave, p)
-            shared = scaled_profile_error(rec, self.wave, p, samples=samples)
+            (plain,) = scaled_profile_error(rec, self.wave, (p,))
+            (shared,) = scaled_profile_error(rec, self.wave, (p,), samples=samples)
             np.testing.assert_array_equal(shared.values, plain.values)
         # A sample stands in for the wave at its time: the snapshot equal to
         # it is at distance zero.
-        series = scaled_profile_error(rec, self.wave, 1.0, samples={1.0: snaps[0][1]})
+        (series,) = scaled_profile_error(rec, self.wave, (1.0,), samples={1.0: snaps[0][1]})
         assert series.values[0] == 0.0
         np.testing.assert_array_equal(
-            series.values[1:], scaled_profile_error(rec, self.wave, 1.0).values[1:]
+            series.values[1:], scaled_profile_error(rec, self.wave, (1.0,))[0].values[1:]
         )
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_several_exponents_match_one_at_a_time(self, shared):
+        # One call for several exponents gives each exponent's series bit
+        # for bit as a call for that exponent alone.
+        rng = np.random.default_rng(5)
+        times = (0.5, 1.0, 3.0, 8.0)
+        snaps = [
+            (t, GridFunction(self.grid, sample_on_grid(self.wave, self.grid, t).values
+                             * (1.0 + 1e-3 * rng.standard_normal(self.grid.num_cells))))
+            for t in times
+        ]
+        rec = record_from_snapshots(snaps)
+        samples = {t: sample_on_grid(self.wave, self.grid, t) for t in times[1:]}
+        kw = {"samples": samples} if shared else {}
+        ps = (1.0, 2.0, math.inf, 3.0)
+        together = scaled_profile_error(rec, self.wave, ps, **kw)
+        assert [s.p for s in together] == list(ps)
+        for p, series in zip(ps, together):
+            (alone,) = scaled_profile_error(rec, self.wave, (p,), **kw)
+            np.testing.assert_array_equal(series.times, alone.times)
+            assert series.values.tobytes() == alone.values.tobytes()
+            assert series.values.tolist() == [
+                t ** (0.5 if math.isinf(p) else 0.5 * (1.0 - 1.0 / p))
+                * norm(GridFunction(self.grid, u.values - sample_on_grid(self.wave, self.grid, t).values), p)
+                for t, u in snaps
+            ]
 
 
 class TestMonitors:

@@ -244,23 +244,99 @@ class TestExactSums:
         assert norm(w, 3) == (dx * oracle_sum(av**3.0)) ** (1.0 / 3.0)
 
     def test_rounding_midpoint_takes_full_sum(self, monkeypatch):
-        # 1 + 2^-53 is a tie between 1 and 1 + 2^-52; the tail 2^-80 breaks
-        # it upward, so the head sums shifted by -/+ 2^-63 round apart and
-        # only the full sum gives the exactly rounded total.
+        # 1 + 2^-53 is a tie between 1 and 1 + 2^-52; the cell 2^-80 breaks
+        # it upward.  fsum runs only on the partial sums of the extraction
+        # and the residuals' sum, never on the terms, and the result stands
+        # when those sums shifted down and up by the residual bound round to
+        # the same float.
         x = [1.0, 2.0**-53, 2.0**-80]
-        seen = []
         fsum = math.fsum
+        for reduce in (mass, lambda w: norm(w, 1)):
+            seen = []
 
-        def spy(values):
-            seen.append(list(values))
-            return fsum(values)
+            def spy(values):
+                seen.append(list(values))
+                return fsum(values)
 
-        monkeypatch.setattr(math, "fsum", spy)
-        total = mass(gf(x))
-        l1 = norm(gf(x), 1)
-        monkeypatch.undo()
-        assert total == l1 == 1.0 + 2.0**-52 == oracle_sum(x)
-        assert seen.count(x) == 2
+            monkeypatch.setattr(math, "fsum", spy)
+            total = reduce(gf(x))
+            monkeypatch.undo()
+            assert total == 1.0 + 2.0**-52 == oracle_sum(x)
+            assert x not in seen
+            first, second = seen[-2:]
+            assert first[:-1] == second[:-1] and first[-1] == -second[-1] != 0.0
+            assert fsum(first) == fsum(second) == total
+
+    def test_exact_ties_round_to_even(self):
+        # The residual becomes exactly zero, so the partial sums are the
+        # whole sum; a tie rounds to the even neighbour either way.
+        for x, want in (([1.0, 2.0**-53], 1.0),
+                        ([1.0 + 2.0**-52, 2.0**-53], 1.0 + 2.0**-51),
+                        ([2.0**-53, 1.0, 0.0, 0.0], 1.0)):
+            assert mass(gf(x)) == want == oracle_sum(x)
+            assert norm(gf(x), 1) == want
+
+    def test_totals_on_and_near_rounding_midpoints(self):
+        # Terms cancelled to an exact zero total, then a float, half its
+        # ulp and a nudge of 0 or a tiny fraction of that: the exact total
+        # sits on a midpoint between two floats or just off it, so the
+        # certificate is defeated unless its bound is right.
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            n = int(rng.integers(2, 3000))
+            y = (rng.standard_normal(n) * 2.0 ** rng.integers(-40, 40, n)).tolist()
+            while (s := math.fsum(y)) != 0.0:
+                y.append(-s)
+            target = float(rng.standard_normal()) * 2.0 ** int(rng.integers(-60, 10))
+            half = math.ulp(target) / 2
+            nudge = half * float(rng.choice([-1.0, 0.0, 1.0])) * 2.0 ** -int(rng.integers(1, 80))
+            y += [target, half * float(rng.choice([-1.0, 1.0])), nudge]
+            x = np.array(y)
+            rng.shuffle(x)
+            assert mass(gf(x)) == oracle_sum(x)
+
+    def test_cancellation_to_zero_and_to_tiny(self):
+        for x in ([1.0, 2.0**-60, -1.0, -(2.0**-60)], [3.0, -1.0, -2.0] * 5):
+            total = mass(gf(x))
+            assert total == 0.0 == oracle_sum(x)
+            assert math.copysign(1.0, total) == math.copysign(1.0, oracle_sum(x))
+        x = [1.0, 2.0**-60, -1.0]
+        assert mass(gf(x)) == 2.0**-60 == oracle_sum(x)
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal(1000)
+        x = np.concatenate([y, -y, [2.0**-60]])
+        rng.shuffle(x)
+        assert mass(gf(x)) == 2.0**-60 == oracle_sum(x)
+
+    @pytest.mark.parametrize("top", [2.0**-900, 2.0**-900 * (1.0 - 2.0**-53),
+                                     2.0**900, 2.0**900 * (1.0 + 2.0**-52)])
+    def test_edges_of_the_extraction_range(self, top):
+        # The largest term at either edge of [2^-900, 2^900], just inside
+        # and just outside, over terms spanning many binades below it.
+        rng = np.random.default_rng(11)
+        x = top * rng.uniform(-1.0, 1.0, 500) * 2.0 ** -rng.integers(0, 120, 500)
+        x[17] = top
+        assert mass(gf(x)) == oracle_sum(x)
+        assert norm(gf(x), 1) == oracle_sum(np.abs(x))
+
+    def test_all_subnormal(self):
+        rng = np.random.default_rng(12)
+        for x in (rng.integers(-50, 51, 300) * 5e-324,
+                  rng.integers(0, 2**40, 300) * 5e-324):
+            assert mass(gf(x)) == oracle_sum(x)
+            assert norm(gf(x), 1) == oracle_sum(np.abs(x))
+
+    def test_at_the_cell_cap(self):
+        # 10^6 cells, the largest grid a config accepts: a signed bulk with
+        # tails reaching subnormals and exact zeros.
+        n = 10**6
+        rng = np.random.default_rng(13)
+        d = np.abs(np.arange(n) - 400_000) / 3_000.0
+        with np.errstate(under="ignore"):
+            x = np.exp(-0.5 * d * d) * rng.uniform(-1.0, 2.0, n)
+        assert np.count_nonzero(x == 0.0) > 0
+        assert mass(gf(x, dx=0.1)) == 0.1 * oracle_sum(x)
+        assert norm(gf(x, dx=0.1), 2) == (0.1 * oracle_sum(x * x)) ** 0.5
 
     def test_mass_signed_cancellation(self):
         # The head cancels to 2^-60; the tail cell 2^-70 still shows in the

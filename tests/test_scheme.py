@@ -838,6 +838,32 @@ class TestLockstep:
         assert all(b >= a - 1 for a, b in zip(counts, counts[1:]))
         assert counts[-1] < counts[0]
 
+    @pytest.mark.parametrize("flux", list(FluxKind))
+    def test_window_bound_stays_left_of_the_data(self, flux):
+        # A lone block carries a lower bound on its first nonzero entry.
+        # Data of size 1e-307 put the left front in the subnormal range, so
+        # it underflows to exact zeros and stalls while the bound moves on
+        # one entry per step, down to 0.  Stepping the whole row instead
+        # (a bound of 0) gives the same states up to the roundoff of the
+        # memory recurrence, whose blocks start where the window does.
+        grid, params, config = make_setup(tail_tol=1e-6, flux=flux)
+        u0 = interior_data(grid, np.random.default_rng(15), 60, amp=1e-307)
+
+        def first(flat):
+            return int((flat != 0.0).argmax())
+
+        whole = StateBlock.start([u0], params, config)
+        assert whole.lo == first(whole.flat) == 61
+        lag = 0
+        for (dt,), block in itertools.islice(march([u0], params, config), 80):
+            assert block.lo <= first(block.flat)
+            lag = max(lag, first(block.flat) - block.lo)
+            whole = step_euler(StateBlock(whole.t, whole.flat, whole.cases, 0),
+                               params, config, [dt])
+            gap = np.abs(whole.flat - block.flat).max()
+            assert gap <= 1e-14 * block.umax
+        assert block.lo == 0 and lag >= 5
+
     def test_l1_contraction(self):
         grid, params, config = make_setup(tail_tol=1e-6)
         rng = np.random.default_rng(12)

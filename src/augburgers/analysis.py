@@ -1,7 +1,7 @@
 """Post-processing: profile-error rates, convergence studies and executable
 forms of the discrete functional inequalities.
 
-Everything here is a pure function of run records, grid functions and
+Everything here is a pure function of snapshots, grid functions and
 arrays; nothing here sets up or steps a run.  The runs of a convergence
 study are made by the ``selfconv`` command of :mod:`augburgers.cli`, and
 the inequality checks take one entry per case and return arrays.
@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .grid import Grid, GridFunction, norm, norms
+from .grid import Grid, GridFunction, mass, norm, norms
 from .profile import AsymptoticProfile, sample_on_grid
-from .scheme import RunRecord
 
 __all__ = [
     "RateSeries",
@@ -59,30 +57,25 @@ class RateSeries:
 
 
 def scaled_profile_error(
-    record: RunRecord,
+    snapshots: Sequence[tuple[float, GridFunction]],
     profile: AsymptoticProfile,
     ps: Sequence[float],
     samples: Mapping[float, GridFunction] | None = None,
 ) -> list[RateSeries]:
-    """Rate-weighted distances between snapshots and the diffusive wave, one
-    series per exponent in ``ps``.
+    """Rate-weighted distances between ``(t, u)`` snapshots, each at t > 0
+    (the wave is singular at t = 0), and the diffusive wave, one series per
+    exponent in ``ps``.
 
     Each snapshot's difference from the wave, its finiteness check and its
     ``|difference|`` are formed once for all exponents (:func:`grid.norms`).
-    Snapshots at t = 0 are skipped with a warning (the profile is singular
-    there).  ``samples`` maps snapshot times to the wave already sampled on
+    ``samples`` maps snapshot times to the wave already sampled on
     the snapshot grid, so callers comparing several runs sample each time
     once; times it lacks are sampled here.
     """
     ps = [float(p) for p in ps]
     times = []
     values = [[] for _ in ps]
-    for t, u in record.snapshots:
-        if t <= 0.0:
-            warnings.warn(
-                "skipping t = 0 snapshot in profile-error series", stacklevel=2
-            )
-            continue
+    for t, u in snapshots:
         prof = (samples or {}).get(t)
         if prof is None:
             prof = sample_on_grid(profile, u.grid, t)
@@ -170,14 +163,11 @@ class NWaveDiagnostic:
 def n_wave_diagnostic(w: GridFunction) -> NWaveDiagnostic:
     """Extrema and signed part masses; tracks whether a two-sign wave survives."""
     vals = w.values
-    dx = w.grid.dx
-    pos = dx * math.fsum(np.maximum(vals, 0.0).tolist())
-    neg = dx * math.fsum(np.minimum(vals, 0.0).tolist())
     return NWaveDiagnostic(
         min=float(vals.min()),
         max=float(vals.max()),
-        positive_mass=pos,
-        negative_mass=neg,
+        positive_mass=mass(GridFunction.from_checked(w.grid, np.maximum(vals, 0.0))),
+        negative_mass=mass(GridFunction.from_checked(w.grid, np.minimum(vals, 0.0))),
     )
 
 

@@ -11,7 +11,6 @@ every subcommand.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -284,27 +283,18 @@ def _build_setup(config: ExperimentConfig):
 # output helpers
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_render(v) for v in row])
+def _write_table(path: str, header: list[str], line: str, rows) -> None:
+    """Write ``header``, then ``rows`` formatted by the ``%`` template
+    ``line`` (such as ``"%.17g,%s"``), as ``csv.writer`` writes them with
+    every float rendered by ``format(x, ".17g")``, byte for byte.
 
-
-def _write_float_csv(path: str, header: list[str], blocks) -> None:
-    """Write all-float rows as :func:`_write_csv` does, byte for byte.
-
-    Each block is a 2-D array of rows and is formatted by one ``%``
-    template: ``"%.17g"`` renders a float as ``format(x, ".17g")`` does, and
-    the lines end in the CRLF terminator of ``csv.writer``.
+    ``%.17g`` renders a float as that does, and lines end in the CRLF of
+    ``csv.writer``.  The header and ``%s`` fields are written as they are,
+    so they must need no quoting.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
-        for block in blocks:
-            rows, cols = block.shape
-            line = ",".join(["%.17g"] * cols) + "\r\n"
-            fh.write(line * rows % tuple(block.ravel().tolist()))
+        fh.write(",".join(header) + "\r\n")
+        fh.write((line + "\r\n") * len(rows) % tuple(v for row in rows for v in row))
 
 
 def _config_hash(config: ExperimentConfig) -> str:
@@ -328,14 +318,14 @@ def _write_manifest(path: str, config: ExperimentConfig, extra: dict) -> None:
 
 def _write_snapshots(path: str, grid, snapshots) -> None:
     """Write ``(t, u)`` snapshots on ``grid`` as rows ``t, x, u``, one per
-    cell, as :func:`_write_float_csv` does, byte for byte.
+    cell, as :func:`_write_table` does, byte for byte.
 
     The cell centres are formatted once: each line of a snapshot is its
     formatted t, then a suffix ``,x,%.17g`` that formats only u.
     """
     suffixes = ["," + format(x, ".17g") + ",%.17g\r\n" for x in grid.cell_centers.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["t", "x", "u"])
+        fh.write("t,x,u\r\n")
         for t, u in snapshots:
             head = "%.17g" % t
             fh.write((head + head.join(suffixes)) % tuple(u.values.tolist()))
@@ -371,10 +361,11 @@ def cmd_run(config: ExperimentConfig) -> int:
         dt_max=config.dt_max,
     )
     _write_snapshots(os.path.join(config.output_dir, "snapshots.csv"), grid, record.snapshots)
-    _write_float_csv(
+    _write_table(
         os.path.join(config.output_dir, "norms.csv"),
         ["t", "l1", "l2", "linf", "mass"],
-        [record.step_reports[:, [0, 3, 4, 5, 2]]],
+        "%.17g,%.17g,%.17g,%.17g,%.17g",
+        record.step_reports[:, [0, 3, 4, 5, 2]].tolist(),
     )
     _write_manifest(
         os.path.join(config.output_dir, "manifest.txt"),
@@ -444,7 +435,7 @@ def cmd_rates(config: ExperimentConfig) -> int:
         extras[f"{name}_aborted"] = record.aborted
         extras[f"{name}_boundary_warning"] = record.boundary_warning
         # The wave is singular at t = 0, so only later snapshots are compared.
-        later = replace(record, snapshots=[s for s in record.snapshots if s[0] > 0.0])
+        later = [s for s in record.snapshots if s[0] > 0.0]
         errors = analysis.scaled_profile_error(
             later, wave, (1.0, 2.0, math.inf), samples=samples
         )
@@ -454,9 +445,10 @@ def cmd_rates(config: ExperimentConfig) -> int:
         # Drop this variant's snapshots before the next run makes its own.
         del record, later
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    _write_csv(
+    _write_table(
         os.path.join(config.output_dir, "rates.csv"),
         ["t", "variant", "p", "scaled_error"],
+        "%.17g,%s,%s,%.17g",
         rows,
     )
     _write_manifest(os.path.join(config.output_dir, "manifest.txt"), config, extras)
@@ -500,9 +492,10 @@ def cmd_nwave(config: ExperimentConfig) -> int:
         )
         extras[f"{name}_aborted"] = record.aborted
         extras[f"{name}_boundary_warning"] = record.boundary_warning
-    _write_csv(
+    _write_table(
         os.path.join(config.output_dir, "nwave_diagnostics.csv"),
         ["variant", "min", "max", "positive_mass", "negative_mass", "mass"],
+        "%s,%.17g,%.17g,%.17g,%.17g,%.17g",
         diag_rows,
     )
     _write_manifest(os.path.join(config.output_dir, "manifest.txt"), config, extras)
@@ -543,12 +536,13 @@ def cmd_selfconv(config: ExperimentConfig, dx_list: str, t_check: str) -> int:
     rows = []
     prev = None
     for (dx_fine, dx_coarse), diff in results:
-        ratio = "" if prev in (None, 0.0) else diff / prev
+        ratio = "" if prev in (None, 0.0) else format(diff / prev, ".17g")
         rows.append((dx_fine, dx_coarse, diff, ratio))
         prev = diff
-    _write_csv(
+    _write_table(
         os.path.join(config.output_dir, "selfconv.csv"),
         ["dx_fine", "dx_coarse", "l1_diff", "ratio"],
+        "%.17g,%.17g,%.17g,%s",
         rows,
     )
     _write_manifest(

@@ -159,54 +159,39 @@ def _simpson_weights(n_sub: int) -> np.ndarray:
 _W_SIMPSON = _simpson_weights(_SIMPSON_SUBINTERVALS)
 
 
-def _segment_integral(f, lo: float, hi: float, cell: int) -> float:
-    """Composite Simpson integral of ``f`` on [lo, hi] (16 subintervals)."""
-    xs = np.linspace(lo, hi, _SIMPSON_SUBINTERVALS + 1)
-    fx = np.asarray(f(xs), dtype=np.float64)
-    if not np.isfinite(fx).all():
-        bad = int(np.flatnonzero(~np.isfinite(fx))[0])
-        raise ValueError(
-            f"initial datum is not finite at x = {xs[bad]!r} (cell {cell})"
-        )
-    h = (hi - lo) / _SIMPSON_SUBINTERVALS
-    return h * float(_W_SIMPSON @ fx)
-
-
 def project_initial(f, grid: Grid) -> GridFunction:
     """Cell-average projection ``u_j = (1/dx) * integral of f over cell j``.
 
-    Each cell integral uses composite Simpson with 16 subintervals.  For a
-    :class:`PiecewiseInitial` the rule is applied per smooth piece within the
-    cell, which keeps the projection accurate across jumps.  Any other ``f``
-    is called once, on the array of every cell's nodes, and must return an
-    array of that shape.
+    Each cell integral uses composite Simpson with 16 subintervals, applied
+    per smooth piece within the cell, which keeps the projection accurate
+    across jumps; any ``f`` that is not a :class:`PiecewiseInitial` is one
+    piece spanning the grid.  Each piece's function is called once, on the
+    array of nodes of every cell it meets, and must return an array of that
+    shape; a piece that meets no cell is not called.
     """
-    n = grid.num_cells
-    if isinstance(f, PiecewiseInitial):
-        avgs = np.zeros(n)
-        faces = grid.faces
-        for a, b, fn in f.pieces:
-            j_lo = max(0, int(math.floor((a - grid.x_left) / grid.dx)))
-            j_hi = min(n - 1, int(math.ceil((b - grid.x_left) / grid.dx)))
-            for j in range(j_lo, j_hi + 1):
-                lo = max(float(faces[j]), a)
-                hi = min(float(faces[j + 1]), b)
-                if hi > lo:
-                    avgs[j] += _segment_integral(fn, lo, hi, j) / grid.dx
-        return GridFunction(grid, avgs)
-
+    pieces = f.pieces if isinstance(f, PiecewiseInitial) else ((-math.inf, math.inf, f),)
+    faces = grid.faces
     n_sub = _SIMPSON_SUBINTERVALS
-    xs = np.linspace(grid.x_left, grid.x_right, n * n_sub + 1)
-    fx = np.asarray(f(xs), dtype=np.float64)
-    if not np.isfinite(fx).all():
-        bad = int(np.flatnonzero(~np.isfinite(fx))[0])
-        cell = min(bad // n_sub, n - 1)
-        raise ValueError(
-            f"initial datum is not finite at x = {xs[bad]!r} (cell {cell})"
-        )
-    idx = np.arange(n)[:, None] * n_sub + np.arange(n_sub + 1)[None, :]
-    h = grid.dx / n_sub
-    avgs = (fx[idx] @ _W_SIMPSON) * (h / grid.dx)
+    avgs = np.zeros(grid.num_cells)
+    for a, b, fn in pieces:
+        lo = np.maximum(faces[:-1], a)
+        hi = np.minimum(faces[1:], b)
+        cells = np.flatnonzero(hi > lo)
+        if cells.size == 0:
+            continue
+        lo, hi = lo[cells, None], hi[cells, None]
+        # Each cell's nodes as np.linspace(lo, hi, 17) forms them.
+        h = (hi - lo) / n_sub
+        xs = np.arange(n_sub + 1) * h + lo
+        xs[:, -1:] = hi
+        fx = np.asarray(fn(xs), dtype=np.float64)
+        bad = ~np.isfinite(fx)
+        if bad.any():
+            # A face node belongs to two cells; name the one on its right.
+            x = float(xs[bad].min())
+            cell = min(int(np.searchsorted(faces, x, side="right")) - 1, grid.num_cells - 1)
+            raise ValueError(f"initial datum is not finite at x = {x!r} (cell {cell})")
+        avgs[cells] += h[:, 0] * (fx @ _W_SIMPSON) / grid.dx
     return GridFunction(grid, avgs)
 
 

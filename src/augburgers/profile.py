@@ -34,9 +34,10 @@ General viscosity follows from the exact rescaling
 ``w(t, x) = (a/2) u((a/2) t, x)``, which maps viscosity 2 to viscosity a and
 mass 2M/a to mass M.
 
-For the semi-discrete solver the matching effective viscosity is
-``nu + c * moment2`` (the truncated second-moment factor of the kernel
-quadrature); ``nu + c`` is the continuum-limit value.
+Runs are compared with the wave of viscosity ``nu + c * moment2`` (the
+truncated second-moment factor of the kernel quadrature) or the continuum
+value ``nu + c``.  The scheme's stencil at fixed dx has the viscosity
+``nu + c * (moment2 + h * (moment1 + M1) / 2)``, h = dx/theta.
 """
 
 from __future__ import annotations
@@ -189,12 +190,6 @@ class AsymptoticProfile:
 
 def eval(profile: AsymptoticProfile, t: float, x):
     """Evaluate the profile at time t > 0 and position(s) x."""
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    if profile.mass == 0.0:
-        x_arr = np.asarray(x, dtype=np.float64)
-        out = np.zeros_like(x_arr)
-        return float(out) if x_arr.ndim == 0 else out
     half_a = profile.viscosity / 2.0
     return half_a * eval_viscosity2(
         half_a * t, x, 2.0 * profile.mass / profile.viscosity
@@ -211,10 +206,10 @@ def sample_on_grid(profile: AsymptoticProfile, grid: Grid, t: float) -> GridFunc
 
 
 def effective_viscosity(nu: float, c: float, moment2: float | None = None) -> float:
-    """Viscosity of the profile the scheme converges to.
+    """Viscosity of the wave that runs are compared with.
 
-    ``nu + c * moment2`` matches the semi-discrete dynamics at fixed dx;
-    passing ``moment2=None`` gives the continuum value ``nu + c``.
+    ``nu + c * moment2``, or the continuum value ``nu + c`` for
+    ``moment2=None``; neither is the stencil's value (module docstring).
     """
     if moment2 is None:
         return nu + c

@@ -21,12 +21,6 @@ from augburgers.cli import main
 from augburgers.grid import GridFunction, make_grid, mass, norm, project_initial
 from augburgers.initial import sine_bumps
 from augburgers.profile import AsymptoticProfile, sample_on_grid
-from augburgers.scheme import RunRecord
-
-
-def record_from_snapshots(snaps):
-    return RunRecord(snapshots=snaps)
-
 
 class TestScaledProfileError:
     def setup_method(self):
@@ -37,27 +31,25 @@ class TestScaledProfileError:
         snaps = [
             (t, sample_on_grid(self.wave, self.grid, t)) for t in (1.0, 4.0, 9.0)
         ]
-        (series,) = scaled_profile_error(record_from_snapshots(snaps), self.wave, (2.0,))
+        (series,) = scaled_profile_error(snaps, self.wave, (2.0,))
         assert np.all(series.values == 0.0)
 
-    def test_skips_time_zero_with_warning(self):
+    def test_time_zero_raises(self):
+        # The wave is singular at t = 0; callers pass only later snapshots.
         snaps = [
             (0.0, GridFunction(self.grid, np.zeros(self.grid.num_cells))),
             (1.0, sample_on_grid(self.wave, self.grid, 1.0)),
         ]
-        with pytest.warns(UserWarning, match="t = 0"):
-            (series,) = scaled_profile_error(
-                record_from_snapshots(snaps), self.wave, (1.0,))
-        assert list(series.times) == [1.0]
+        with pytest.raises(ValueError, match="must be positive"):
+            scaled_profile_error(snaps, self.wave, (1.0,))
 
     def test_rate_exponents(self):
         u = GridFunction(self.grid, np.zeros(self.grid.num_cells))
         t = 16.0
         snaps = [(t, u)]
-        rec = record_from_snapshots(snaps)
         prof = sample_on_grid(self.wave, self.grid, t)
         for p, expo in ((1.0, 0.0), (2.0, 0.25), (math.inf, 0.5)):
-            (series,) = scaled_profile_error(rec, self.wave, (p,))
+            (series,) = scaled_profile_error(snaps, self.wave, (p,))
             assert series.p == p
             assert series.values[0] == pytest.approx(
                 t**expo * norm(prof, p), rel=1e-13
@@ -69,18 +61,17 @@ class TestScaledProfileError:
             (t, GridFunction(self.grid, rng.random(self.grid.num_cells)))
             for t in (1.0, 2.0, 5.0)
         ]
-        rec = record_from_snapshots(snaps)
         samples = {t: sample_on_grid(self.wave, self.grid, t) for t in (1.0, 5.0)}
         for p in (1.0, 2.0, math.inf):
-            (plain,) = scaled_profile_error(rec, self.wave, (p,))
-            (shared,) = scaled_profile_error(rec, self.wave, (p,), samples=samples)
+            (plain,) = scaled_profile_error(snaps, self.wave, (p,))
+            (shared,) = scaled_profile_error(snaps, self.wave, (p,), samples=samples)
             np.testing.assert_array_equal(shared.values, plain.values)
         # A sample stands in for the wave at its time: the snapshot equal to
         # it is at distance zero.
-        (series,) = scaled_profile_error(rec, self.wave, (1.0,), samples={1.0: snaps[0][1]})
+        (series,) = scaled_profile_error(snaps, self.wave, (1.0,), samples={1.0: snaps[0][1]})
         assert series.values[0] == 0.0
         np.testing.assert_array_equal(
-            series.values[1:], scaled_profile_error(rec, self.wave, (1.0,))[0].values[1:]
+            series.values[1:], scaled_profile_error(snaps, self.wave, (1.0,))[0].values[1:]
         )
 
     @pytest.mark.parametrize("shared", [False, True])
@@ -94,14 +85,13 @@ class TestScaledProfileError:
                              * (1.0 + 1e-3 * rng.standard_normal(self.grid.num_cells))))
             for t in times
         ]
-        rec = record_from_snapshots(snaps)
         samples = {t: sample_on_grid(self.wave, self.grid, t) for t in times[1:]}
         kw = {"samples": samples} if shared else {}
         ps = (1.0, 2.0, math.inf, 3.0)
-        together = scaled_profile_error(rec, self.wave, ps, **kw)
+        together = scaled_profile_error(snaps, self.wave, ps, **kw)
         assert [s.p for s in together] == list(ps)
         for p, series in zip(ps, together):
-            (alone,) = scaled_profile_error(rec, self.wave, (p,), **kw)
+            (alone,) = scaled_profile_error(snaps, self.wave, (p,), **kw)
             np.testing.assert_array_equal(series.times, alone.times)
             assert series.values.tobytes() == alone.values.tobytes()
             assert series.values.tolist() == [
@@ -224,6 +214,9 @@ class TestNWaveDiagnostic:
         assert d.positive_mass + d.negative_mass == pytest.approx(
             mass(w), rel=1e-13, abs=1e-13
         )
+        # Each part mass is dx times the exactly rounded sum of its part.
+        assert d.positive_mass == 0.25 * math.fsum(max(v, 0.0) for v in values)
+        assert d.negative_mass == 0.25 * math.fsum(min(v, 0.0) for v in values)
 
 
 def criterion_08_corpora():

@@ -768,27 +768,31 @@ def test_config_items_render_roundtrip():
 def test_float_csv_matches_csv_writer(tmp_path):
     import csv
 
-    from augburgers.cli import _write_float_csv
+    from augburgers.cli import _write_table
 
     values = [-0.0, 5e-324, 1e-310, 1e300, 1.0 / 3.0, 0.0, -2.5, 0.1]
-    blocks = [
-        np.array(values[:6]).reshape(2, 3),
-        np.empty((0, 3)),
-        np.array(values[2:]).reshape(2, 3),
+    header = ["t", "variant", "u", "ratio"]
+    rows = [
+        (values[i], name, values[i + 1], ratio)
+        for i, name, ratio in ((0, "eo", ""), (2, "mlf_corrected", "0.5"), (5, "inf", ""))
     ]
-    path = tmp_path / "bulk.csv"
-    _write_float_csv(str(path), ["t", "x", "u"], blocks)
+    path = tmp_path / "table.csv"
+    _write_table(str(path), header, "%.17g,%s,%.17g,%s", rows)
     oracle = tmp_path / "oracle.csv"
     with open(oracle, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "x", "u"])
-        for block in blocks:
-            for row in block:
-                writer.writerow([format(float(v), ".17g") for v in row])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [format(v, ".17g") if isinstance(v, float) else v for v in row]
+            )
     assert path.read_bytes() == oracle.read_bytes()
     assert path.read_bytes().startswith(
-        b"t,x,u\r\n-0,4.9406564584124654e-324,9.9999999999999694e-311\r\n"
+        b"t,variant,u,ratio\r\n-0,eo,4.9406564584124654e-324,\r\n"
+        b"9.9999999999999694e-311,mlf_corrected,1.0000000000000001e+300,0.5\r\n"
     )
+    _write_table(str(path), header, "%.17g,%s,%.17g,%s", [])
+    assert path.read_bytes() == b"t,variant,u,ratio\r\n"
 
 
 def test_runtime_never_imports_scipy(tmp_path):

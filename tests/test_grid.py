@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from augburgers.grid import (
     Grid,
     GridFunction,
+    PiecewiseInitial,
     make_grid,
     mass,
     norm,
     project_initial,
 )
-from augburgers.initial import sine_bumps
+from augburgers.initial import box_pair, gaussian, sine_bumps
 
 
 def gf(values, dx=1.0):
@@ -122,6 +123,70 @@ class TestProjection:
 
         with pytest.raises(ValueError, match="cell 2"):
             project_initial(f, g)
+
+
+def simpson_per_cell(f, grid):
+    """Oracle of the projection: for each piece and each cell it meets, one
+    scalar composite Simpson sum (16 subintervals) on their intersection.
+    A plain callable is one piece spanning the grid."""
+    pieces = f.pieces if isinstance(f, PiecewiseInitial) else ((-math.inf, math.inf, f),)
+    weights = [1.0] + [4.0, 2.0] * 7 + [4.0, 1.0]
+    avgs = np.zeros(grid.num_cells)
+    for a, b, fn in pieces:
+        for j in range(grid.num_cells):
+            lo = max(float(grid.faces[j]), a)
+            hi = min(float(grid.faces[j + 1]), b)
+            if hi > lo:
+                fx = fn(np.linspace(lo, hi, 17)).tolist()
+                s = sum(w * v for w, v in zip(weights, fx)) / 3.0
+                avgs[j] += (hi - lo) / 16.0 * s / grid.dx
+    return avgs
+
+
+class Counting:
+    """A piece function that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+def bump(x):
+    return np.cos(x) + 0.5 * x
+
+
+# On the grid [-4, 4] with dx = 0.25: a box edge on the face -1, a piece
+# across the left grid edge, one inside a single cell and one off the grid.
+PROJECTION_DATA = {
+    "sines": sine_bumps(),
+    "gaussian": gaussian(0.5, 1.0),
+    "boxpair_edge_on_face": box_pair(1.5, -1.0, 0.3, -0.5, 0.3, 2.6),
+    "across_grid_edge": PiecewiseInitial(((-5.3, -3.1, bump),)),
+    "inside_one_cell": PiecewiseInitial(((0.05, 0.2, bump), (1.0, 1.25, bump))),
+    "off_grid": PiecewiseInitial(((-2.0, 1.5, bump), (4.5, 9.0, bump))),
+}
+
+
+@pytest.mark.parametrize("name", PROJECTION_DATA)
+def test_projection_matches_per_cell_oracle(name):
+    datum = PROJECTION_DATA[name]
+    g = make_grid(-4.0, 4.0, 0.25)
+    if isinstance(datum, PiecewiseInitial):
+        pieces = [(a, b, Counting(fn)) for a, b, fn in datum.pieces]
+        got = project_initial(PiecewiseInitial(tuple(pieces)), g).values
+    else:
+        pieces = [(-math.inf, math.inf, Counting(datum))]
+        got = project_initial(pieces[0][2], g).values
+    want = simpson_per_cell(datum, g)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # One call per piece that meets the grid; a piece off it is not called.
+    assert [fn.calls for _, _, fn in pieces] == [
+        int(a < g.x_right and b > g.x_left) for a, b, _ in pieces
+    ]
 
 
 class TestDifferences:
